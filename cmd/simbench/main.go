@@ -11,6 +11,9 @@
 // virtual-time behaviour of the kernel is pinned separately by the
 // byte-identical-replay gates. This tool measures host cost only.
 //
+// Beside the kernel workloads it measures one offline recovery: ufs.Repair
+// then ufs.Fsck on a fixed plain crash image.
+//
 // Usage:
 //
 //	simbench [-events N] [-reps N] [-o file] [-baseline BENCH_sim.json]
@@ -24,10 +27,15 @@ import (
 	"runtime"
 	"time"
 
+	"ufsclust"
+	"ufsclust/internal/disk"
+	"ufsclust/internal/fault"
+	"ufsclust/internal/faultlab"
 	"ufsclust/internal/prefetch"
 	"ufsclust/internal/runner"
 	"ufsclust/internal/sim"
 	"ufsclust/internal/telemetry"
+	"ufsclust/internal/ufs"
 )
 
 // Metrics is the host cost of one pinned workload.
@@ -67,6 +75,20 @@ type Workloads struct {
 	// pays this; the acceptance number is near-zero allocations per
 	// decision once the per-file detectors exist.
 	ReadAhead Metrics `json:"readahead"`
+	// Recovery: offline repair of a plain crash image (absent from
+	// reports that predate it).
+	Recovery *Recovery `json:"recovery,omitempty"`
+}
+
+// Recovery is the host cost of one offline recovery of a plain crash
+// image: the faultlab write cell (run A, 16 MB, fsync every MB, seed 42)
+// cut at half its uncut duration, repaired with ufs.Repair and then
+// checked with ufs.Fsck. SectorsRead counts every sector both read.
+type Recovery struct {
+	HostNs      int64  `json:"host_ns"`
+	Allocs      uint64 `json:"allocs"`
+	Bytes       uint64 `json:"bytes"`
+	SectorsRead int64  `json:"sectors_read"`
 }
 
 // Report is the BENCH_sim.json schema.
@@ -78,6 +100,10 @@ type Report struct {
 	Current    Workloads  `json:"current"`
 	Baseline   *Workloads `json:"baseline,omitempty"`
 	Speedup    *Speedup   `json:"speedup,omitempty"`
+	// RecoveryBaseline is the recovery workload as this tool measured
+	// it on the tree before its last optimization (fastest of -reps,
+	// like Current.Recovery); it is carried forward like Baseline.
+	RecoveryBaseline *Recovery `json:"recovery_baseline,omitempty"`
 }
 
 // Speedup compares Current against Baseline (ratios > 1 mean the
@@ -88,6 +114,9 @@ type Speedup struct {
 	SwitchNsRatio          float64 `json:"context_switch_ns_old_over_new"`
 	PingpongNsRatio        float64 `json:"waitq_pingpong_ns_old_over_new"`
 	ParallelEventsPerSec   float64 `json:"parallel_scale_events_per_sec"`
+	RecoveryHostNsRatio    float64 `json:"recovery_host_ns_old_over_new,omitempty"`
+	RecoveryBytesRatio     float64 `json:"recovery_bytes_old_over_new,omitempty"`
+	RecoverySectorsRatio   float64 `json:"recovery_sectors_old_over_new,omitempty"`
 }
 
 func main() {
@@ -109,6 +138,7 @@ func main() {
 	rep.Current.ParallelScale = measure(*reps, parallelScale(*events))
 	rep.Current.TelemetryEmit = measure(*reps, telemetryEmit(*events))
 	rep.Current.ReadAhead = measure(*reps, readahead(*events))
+	rep.Current.Recovery = measureRecovery(*reps)
 
 	if *baseline != "" {
 		if err := attachBaseline(&rep, *baseline); err != nil {
@@ -138,6 +168,8 @@ func main() {
 // attachBaseline loads a prior report and anchors Baseline to it: to
 // the prior run's own baseline when it has one (so the pre-optimization
 // anchor survives repeated `make bench`), else to its current numbers.
+// RecoveryBaseline is anchored the same way, independently, so a prior
+// report that predates it supplies its current recovery numbers.
 func attachBaseline(rep *Report, path string) error {
 	buf, err := os.ReadFile(path)
 	if err != nil {
@@ -158,6 +190,17 @@ func attachBaseline(rep *Report, path string) error {
 		SwitchNsRatio:          ratio(base.ContextSwitch.NsPerSwitch, rep.Current.ContextSwitch.NsPerSwitch),
 		PingpongNsRatio:        ratio(base.Pingpong.NsPerSwitch, rep.Current.Pingpong.NsPerSwitch),
 		ParallelEventsPerSec:   ratio(rep.Current.ParallelScale.EventsPerSec, base.ParallelScale.EventsPerSec),
+	}
+
+	rb := old.RecoveryBaseline
+	if rb == nil {
+		rb = old.Current.Recovery
+	}
+	rep.RecoveryBaseline = rb
+	if c := rep.Current.Recovery; rb != nil && c != nil {
+		rep.Speedup.RecoveryHostNsRatio = ratio(float64(rb.HostNs), float64(c.HostNs))
+		rep.Speedup.RecoveryBytesRatio = ratio(float64(rb.Bytes), float64(c.Bytes))
+		rep.Speedup.RecoverySectorsRatio = ratio(float64(rb.SectorsRead), float64(c.SectorsRead))
 	}
 	return nil
 }
@@ -347,6 +390,69 @@ func readahead(total int64) func() int64 {
 		}
 		return total
 	}
+}
+
+// measureRecovery builds the crash image once, then repairs and checks
+// a fresh copy of it reps times, keeping the fastest run.
+func measureRecovery(reps int) *Recovery {
+	w := faultlab.Workload{RC: ufsclust.RunA(), FileMB: 16, FsyncEvery: 1 << 20, Seed: 42}
+	uncut, err := faultlab.RunToCrash(w, fault.Plan{})
+	if err != nil {
+		fatal(err)
+	}
+	st, err := faultlab.RunToCrash(w, fault.Plan{Rules: []fault.Rule{fault.CutAtTime(sim.Time(int64(uncut.End) / 2))}})
+	if err != nil {
+		fatal(err)
+	}
+	if !st.Crashed {
+		fatal(fmt.Errorf("recovery: mid-run cut never fired"))
+	}
+	var best *Recovery
+	for r := 0; r < reps; r++ {
+		s := sim.New(1)
+		d := disk.New(s, "sd0", disk.DefaultParams())
+		d.Restore(st.Image)
+		cd := &countingDev{Device: d}
+		runtime.GC()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		t0 := time.Now()
+		rr, err := ufs.Repair(cd)
+		if err != nil {
+			fatal(err)
+		}
+		fr, err := ufs.Fsck(cd)
+		if err != nil {
+			fatal(err)
+		}
+		host := time.Since(t0)
+		runtime.ReadMemStats(&m1)
+		s.Close()
+		if !rr.Clean() || !fr.Clean() {
+			fatal(fmt.Errorf("recovery: repaired image is not clean"))
+		}
+		cur := &Recovery{
+			HostNs:      host.Nanoseconds(),
+			Allocs:      m1.Mallocs - m0.Mallocs,
+			Bytes:       m1.TotalAlloc - m0.TotalAlloc,
+			SectorsRead: cd.sectors,
+		}
+		if best == nil || cur.HostNs < best.HostNs {
+			best = cur
+		}
+	}
+	return best
+}
+
+// countingDev counts the sectors an offline recovery reads.
+type countingDev struct {
+	disk.Device
+	sectors int64
+}
+
+func (c *countingDev) ReadImage(sector int64, buf []byte) {
+	c.sectors += int64(len(buf)+disk.SectorSize-1) / disk.SectorSize
+	c.Device.ReadImage(sector, buf)
 }
 
 func fatal(err error) {

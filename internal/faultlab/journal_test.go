@@ -1,6 +1,8 @@
 package faultlab
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 
 	"ufsclust"
@@ -71,15 +73,57 @@ func TestJournaledSweepWriteCellAcceptance(t *testing.T) {
 }
 
 // countingDev counts offline sector reads through a Device — the
-// instrument for comparing recovery costs without wall clocks.
+// instrument for comparing recovery costs without wall clocks. It also
+// counts reads per starting sector, so a test can tell how often each
+// block was fetched.
 type countingDev struct {
 	disk.Device
-	reads int64
+	reads  int64
+	starts map[int64]int
 }
 
 func (c *countingDev) ReadImage(sector int64, buf []byte) {
 	c.reads += int64(len(buf)+disk.SectorSize-1) / disk.SectorSize
+	c.starts[sector]++
 	c.Device.ReadImage(sector, buf)
+}
+
+// restoreCounting boots a fresh disk from img behind a countingDev.
+func restoreCounting(t *testing.T, img *disk.Image) (*countingDev, *disk.Disk) {
+	t.Helper()
+	s := sim.New(1)
+	t.Cleanup(s.Close)
+	d := disk.New(s, "sd0", disk.DefaultParams())
+	d.Restore(img)
+	return &countingDev{Device: d, starts: make(map[int64]int)}, d
+}
+
+// checkInodeBlockReads fails unless every inode block of the file
+// system on c was read exactly want times through it.
+func checkInodeBlockReads(t *testing.T, c *countingDev, want int) {
+	t.Helper()
+	sb, err := ufs.ReadSuperblock(c.Device)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cgx := int32(0); cgx < sb.Ncg; cgx++ {
+		for blk := int32(0); blk < sb.InodeBlocks(); blk++ {
+			sec := sb.FsbToDb(sb.CgIblock(cgx) + blk*sb.Frag)
+			if got := c.starts[sec]; got != want {
+				t.Fatalf("inode block at sector %d read %d times, want %d", sec, got, want)
+			}
+		}
+	}
+}
+
+// imageHash returns the SHA-256 of d's serialized image.
+func imageHash(t *testing.T, d *disk.Disk) string {
+	t.Helper()
+	h := sha256.New()
+	if err := d.DumpImage(h); err != nil {
+		t.Fatal(err)
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // crashMidRun cuts the workload at roughly half its uncut duration and
@@ -104,6 +148,14 @@ func crashMidRun(t *testing.T, w Workload) *CrashState {
 // replay reads at most the log region, the bound does not grow with
 // the image, and on the 16 MB write cell replay reads strictly fewer
 // sectors than the full-image ufs.Repair of the same crash.
+//
+// The plain crash also pins what offline recovery without a journal
+// costs and produces: Fsck's inode pass reads each inode block exactly
+// once, and so does Repair's, whose only other read of an inode block
+// is its closing Fsck. The crash image (written by the running
+// machine's buffer cache, cylinder-group stores included) and the
+// repaired image hash to pinned values, so the host-side codecs and
+// scans leave every on-disk byte as it was.
 func TestJournaledRecoveryCostBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("16 MB recovery-cost comparison in -short mode")
@@ -137,13 +189,32 @@ func TestJournaledRecoveryCostBounded(t *testing.T) {
 	// repair; count its reads through a wrapped device.
 	wu := Workload{RC: ufsclust.RunA(), FileMB: 16, FsyncEvery: 1 << 20, Seed: 42}
 	st := crashMidRun(t, wu)
-	s := sim.New(1)
-	defer s.Close()
-	d := disk.New(s, "sd0", disk.DefaultParams())
-	d.Restore(st.Image)
-	cd := &countingDev{Device: d}
-	if _, err := ufs.Repair(cd); err != nil {
+	const (
+		crashHash    = "2ff6890f71f363b8e120771b990128bdebbc24faa0ee8876b2ab1c284e706257"
+		repairedHash = "e0fae74184437b93784f3a73e4add122ce58bb889438cb6d9338a8e8c5812487"
+	)
+
+	fc, d := restoreCounting(t, st.Image)
+	if got := imageHash(t, d); got != crashHash {
+		t.Fatalf("crash image hash %s, want %s", got, crashHash)
+	}
+	if _, err := ufs.Fsck(fc); err != nil {
 		t.Fatal(err)
+	}
+	checkInodeBlockReads(t, fc, 1)
+
+	cd, d := restoreCounting(t, st.Image)
+	rr, err := ufs.Repair(cd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rr.Clean() {
+		t.Fatalf("repaired image is dirty: %v", rr.Check.Problems)
+	}
+	// One read in the inode pass, one in the closing Fsck.
+	checkInodeBlockReads(t, cd, 2)
+	if got := imageHash(t, d); got != repairedHash {
+		t.Fatalf("repaired image hash %s, want %s", got, repairedHash)
 	}
 	if big.RecoverySectorsRead >= cd.reads {
 		t.Fatalf("journal replay read %d sectors, full-image repair read %d — replay must be strictly cheaper",

@@ -67,6 +67,9 @@ func parseDirents(blk []byte) ([]Dirent, error) {
 	var out []Dirent
 	off := 0
 	for off < len(blk) {
+		if len(blk)-off < 8 {
+			return nil, fmt.Errorf("ufs: corrupt dirent at offset %d (%d-byte tail)", off, len(blk)-off)
+		}
 		i := int32(uint32(blk[off]) | uint32(blk[off+1])<<8 | uint32(blk[off+2])<<16 | uint32(blk[off+3])<<24)
 		reclen := int(blk[off+4]) | int(blk[off+5])<<8
 		namlen := int(blk[off+6]) | int(blk[off+7])<<8
@@ -87,9 +90,6 @@ func parseDirents(blk []byte) ([]Dirent, error) {
 			out = append(out, Dirent{Ino: 0, off: off, reclen: reclen})
 		}
 		off += reclen
-	}
-	if off != len(blk) {
-		return nil, errors.New("ufs: directory block reclens do not sum to block size")
 	}
 	return out, nil
 }

@@ -82,9 +82,9 @@ func Fsck(d disk.Device) (*FsckReport, error) {
 		links int16 // directory references found in pass 2
 	}
 	inodes := make(map[int32]*inodeInfo)
+	itab := newInodeScan(d, sb)
 	for ino := int32(0); ino < sb.Ncg*sb.Ipg; ino++ {
-		blk := readBlk(sb.InoToFsba(ino))
-		di := UnmarshalDinode(blk[sb.InoBlockOff(ino) : sb.InoBlockOff(ino)+DinodeSize])
+		di := itab.dinode(ino)
 		if !di.Allocated() {
 			continue
 		}
@@ -193,12 +193,16 @@ func Fsck(d disk.Device) (*FsckReport, error) {
 		}
 		nblocks := di.Size / int64(sb.Bsize)
 		sawDot, sawDotDot := false, false
+		var ib []byte // the single-indirect block, read on first use
 		for lbn := int64(0); lbn < nblocks; lbn++ {
 			var fsbn int32
 			if lbn < NDADDR {
 				fsbn = di.DB[lbn]
 			} else if di.IB[0] != 0 && lbn-NDADDR < nindir {
-				fsbn = getIndir(readBlk(di.IB[0]), lbn-NDADDR)
+				if ib == nil {
+					ib = readBlk(di.IB[0])
+				}
+				fsbn = getIndir(ib, lbn-NDADDR)
 			}
 			if fsbn == 0 {
 				r.addf("dir ino %d: hole at block %d", ino, lbn)
@@ -341,4 +345,32 @@ func Fsck(d disk.Device) (*FsckReport, error) {
 		r.addf("directory count %d != cg ndir total %d", r.Dirs, ndir)
 	}
 	return r, nil
+}
+
+// inodeScan reads dinodes in inode order for the offline passes. It
+// keeps the last inode block it read and rereads only when the block
+// address changes, so a full-table scan reads each inode block once
+// instead of once per inode. Keying on the address rather than on
+// ino % InodesPerBlock keeps a scan correct on a corrupt superblock
+// whose Ipg is not a multiple of the inodes per block.
+type inodeScan struct {
+	d      disk.Device
+	sb     *Superblock
+	blk    []byte
+	fsba   int32
+	loaded bool
+}
+
+func newInodeScan(d disk.Device, sb *Superblock) *inodeScan {
+	return &inodeScan{d: d, sb: sb, blk: make([]byte, sb.Bsize)}
+}
+
+// dinode returns inode ino as stored on disk.
+func (s *inodeScan) dinode(ino int32) Dinode {
+	if fsba := s.sb.InoToFsba(ino); !s.loaded || fsba != s.fsba {
+		s.d.ReadImage(s.sb.FsbToDb(fsba), s.blk)
+		s.fsba, s.loaded = fsba, true
+	}
+	off := s.sb.InoBlockOff(ino)
+	return UnmarshalDinode(s.blk[off : off+DinodeSize])
 }

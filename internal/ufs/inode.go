@@ -218,13 +218,13 @@ func (fs *Fs) loadCG(p *sim.Proc, cgx int32) (*CG, error) {
 }
 
 // storeCG pushes the in-core group back through the buffer cache as a
-// delayed write.
+// delayed write, encoding it straight into the cached block.
 func (fs *Fs) storeCG(p *sim.Proc, cg *CG) error {
 	b, err := fs.BC.Bread(p, fs.SB.CgHeader(cg.Cgx))
 	if err != nil {
 		return err
 	}
-	copy(b.Data, cg.Marshal(fs.SB))
+	cg.MarshalInto(fs.SB, b.Data)
 	fs.BC.Bdwrite(b)
 	return nil
 }

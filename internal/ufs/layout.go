@@ -264,26 +264,82 @@ func (d *Dinode) IsReg() bool { return d.Mode&ModeFmt == ModeReg }
 // Allocated reports whether the inode is in use.
 func (d *Dinode) Allocated() bool { return d.Mode != 0 }
 
+// Dinode field offsets: the packed little-endian layout binary.Write
+// gives the struct (no padding), zero-filled to DinodeSize. The codec
+// below stores and loads each field at its offset directly, so the
+// per-inode paths (inode-table scans, IUpdate) never go through
+// reflection; the property test pins it to binary.Write byte for byte.
+const (
+	diMode   = 0
+	diNlink  = 2
+	diUID    = 4
+	diGID    = 8
+	diSize   = 12
+	diAtime  = 20
+	diMtime  = 28
+	diCtime  = 36
+	diDB     = 44
+	diIB     = diDB + 4*NDADDR
+	diFlags  = diIB + 4*NIADDR
+	diBlocks = diFlags + 4
+	diGen    = diBlocks + 4
+	diSpare  = diGen + 4
+	diEnd    = diSpare + 4*3 // bytes the fields occupy; the rest is zero
+)
+
 // MarshalInto encodes the dinode into dst (DinodeSize bytes).
 func (d *Dinode) MarshalInto(dst []byte) {
-	var buf bytes.Buffer
-	if err := binary.Write(&buf, binary.LittleEndian, d); err != nil {
-		panic(err) // simlint:invariant -- bytes.Buffer writes cannot fail
+	dst = dst[:DinodeSize]
+	le := binary.LittleEndian
+	le.PutUint16(dst[diMode:], d.Mode)
+	le.PutUint16(dst[diNlink:], uint16(d.Nlink))
+	le.PutUint32(dst[diUID:], d.UID)
+	le.PutUint32(dst[diGID:], d.GID)
+	le.PutUint64(dst[diSize:], uint64(d.Size))
+	le.PutUint64(dst[diAtime:], uint64(d.Atime))
+	le.PutUint64(dst[diMtime:], uint64(d.Mtime))
+	le.PutUint64(dst[diCtime:], uint64(d.Ctime))
+	for i, a := range d.DB {
+		le.PutUint32(dst[diDB+4*i:], uint32(a))
 	}
-	if buf.Len() > DinodeSize {
-		panic(fmt.Sprintf("ufs: dinode marshals to %d bytes", buf.Len())) // simlint:invariant -- marshal size is fixed by the layout
+	for i, a := range d.IB {
+		le.PutUint32(dst[diIB+4*i:], uint32(a))
 	}
-	for i := range dst[:DinodeSize] {
-		dst[i] = 0
+	le.PutUint32(dst[diFlags:], d.Flags)
+	le.PutUint32(dst[diBlocks:], uint32(d.Blocks))
+	le.PutUint32(dst[diGen:], d.Gen)
+	for i, v := range d.Spare {
+		le.PutUint32(dst[diSpare+4*i:], v)
 	}
-	copy(dst, buf.Bytes())
+	clear(dst[diEnd:])
 }
 
-// UnmarshalDinode decodes a dinode.
+// UnmarshalDinode decodes a dinode from src, which must hold at least
+// DinodeSize bytes.
 func UnmarshalDinode(src []byte) Dinode {
-	var d Dinode
-	if err := binary.Read(bytes.NewReader(src), binary.LittleEndian, &d); err != nil {
-		panic(err) // simlint:invariant -- bytes.Buffer writes cannot fail
+	src = src[:DinodeSize]
+	le := binary.LittleEndian
+	d := Dinode{
+		Mode:   le.Uint16(src[diMode:]),
+		Nlink:  int16(le.Uint16(src[diNlink:])),
+		UID:    le.Uint32(src[diUID:]),
+		GID:    le.Uint32(src[diGID:]),
+		Size:   int64(le.Uint64(src[diSize:])),
+		Atime:  int64(le.Uint64(src[diAtime:])),
+		Mtime:  int64(le.Uint64(src[diMtime:])),
+		Ctime:  int64(le.Uint64(src[diCtime:])),
+		Flags:  le.Uint32(src[diFlags:]),
+		Blocks: int32(le.Uint32(src[diBlocks:])),
+		Gen:    le.Uint32(src[diGen:]),
+	}
+	for i := range d.DB {
+		d.DB[i] = int32(le.Uint32(src[diDB+4*i:]))
+	}
+	for i := range d.IB {
+		d.IB[i] = int32(le.Uint32(src[diIB+4*i:]))
+	}
+	for i := range d.Spare {
+		d.Spare[i] = le.Uint32(src[diSpare+4*i:])
 	}
 	return d
 }
@@ -303,8 +359,9 @@ type CgHdr struct {
 	Irotor int32 // inode search rotor
 }
 
-// cgHdrSize is the marshaled CgHdr size.
-var cgHdrSize = binary.Size(CgHdr{})
+// cgHdrSize is the marshaled CgHdr size: ten packed little-endian
+// int32 fields, in declaration order.
+const cgHdrSize = 10 * 4
 
 // CG is an in-memory cylinder group: header plus bitmaps. The inosused
 // bitmap has 1 = allocated; the blksfree bitmap has 1 = free (matching
@@ -325,36 +382,53 @@ func NewCG(sb *Superblock, cgx int32) *CG {
 	return cg
 }
 
-// Marshal encodes the group into a block-sized buffer.
-func (cg *CG) Marshal(sb *Superblock) []byte {
-	var buf bytes.Buffer
-	if err := binary.Write(&buf, binary.LittleEndian, &cg.CgHdr); err != nil {
-		panic(err) // simlint:invariant -- bytes.Buffer writes cannot fail
-	}
-	buf.Write(cg.Inosused)
-	buf.Write(cg.Blksfree)
-	if buf.Len() > int(sb.Bsize) {
+// hdrFields lists the header fields in on-disk order.
+func (h *CgHdr) hdrFields() [cgHdrSize / 4]*int32 {
+	return [...]*int32{&h.Magic, &h.Cgx, &h.Ndblk, &h.Nbfree, &h.Nifree,
+		&h.Nffree, &h.Ndir, &h.Rotor, &h.Frotor, &h.Irotor}
+}
+
+// MarshalInto encodes the group into dst, a block-sized buffer: header,
+// inode bitmap, fragment bitmap, then zeros to the end of the block.
+// Fs.storeCG calls it on the buffer-cache block itself, so a group
+// update costs no allocation.
+func (cg *CG) MarshalInto(sb *Superblock, dst []byte) {
+	dst = dst[:sb.Bsize]
+	n := cgHdrSize + len(cg.Inosused) + len(cg.Blksfree)
+	if n > len(dst) {
 		panic("ufs: cylinder group overflows header block") // simlint:invariant -- mkfs sizes groups to fit the header block
 	}
+	for i, f := range cg.hdrFields() {
+		binary.LittleEndian.PutUint32(dst[4*i:], uint32(*f))
+	}
+	copy(dst[cgHdrSize:], cg.Inosused)
+	copy(dst[cgHdrSize+len(cg.Inosused):], cg.Blksfree)
+	clear(dst[n:])
+}
+
+// Marshal encodes the group into a fresh block-sized buffer.
+func (cg *CG) Marshal(sb *Superblock) []byte {
 	out := make([]byte, sb.Bsize)
-	copy(out, buf.Bytes())
+	cg.MarshalInto(sb, out)
 	return out
 }
 
 // UnmarshalCG decodes a group read from disk.
 func UnmarshalCG(sb *Superblock, data []byte) (*CG, error) {
+	if len(data) < cgHdrSize {
+		return nil, errors.New("ufs: cylinder group header truncated")
+	}
 	cg := new(CG)
-	r := bytes.NewReader(data)
-	if err := binary.Read(r, binary.LittleEndian, &cg.CgHdr); err != nil {
-		return nil, err
+	for i, f := range cg.hdrFields() {
+		*f = int32(binary.LittleEndian.Uint32(data[4*i:]))
 	}
 	if cg.Magic != CGMagic {
 		return nil, fmt.Errorf("ufs: bad cylinder group magic %#x", cg.Magic)
 	}
 	off := cgHdrSize
-	ni := int((sb.Ipg + 7) / 8)
-	nb := int((sb.Fpg + 7) / 8)
-	if off+ni+nb > len(data) {
+	ni := (int(sb.Ipg) + 7) / 8
+	nb := (int(sb.Fpg) + 7) / 8
+	if ni < 0 || nb < 0 || off+ni+nb > len(data) {
 		return nil, errors.New("ufs: cylinder group truncated")
 	}
 	cg.Inosused = append([]byte(nil), data[off:off+ni]...)

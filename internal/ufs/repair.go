@@ -116,9 +116,9 @@ func (rp *repairer) writeBlk(fsbn int32, data []byte) {
 func (rp *repairer) loadInodes() {
 	sb := rp.sb
 	rp.dinode = make([]Dinode, sb.Ncg*sb.Ipg)
-	for ino := int32(0); ino < sb.Ncg*sb.Ipg; ino++ {
-		blk := rp.readBlk(sb.InoToFsba(ino))
-		rp.dinode[ino] = UnmarshalDinode(blk[sb.InoBlockOff(ino) : sb.InoBlockOff(ino)+DinodeSize])
+	itab := newInodeScan(rp.d, sb)
+	for ino := range rp.dinode {
+		rp.dinode[ino] = itab.dinode(int32(ino))
 	}
 }
 
@@ -441,13 +441,18 @@ func (rp *repairer) findFreeBlock() int32 {
 
 // dirBlockFsbn returns the fragment address of directory block lbn, or
 // 0 (repair keeps directories within direct + single-indirect range,
-// like Fsck).
-func (rp *repairer) dirBlockFsbn(di *Dinode, lbn int64) int32 {
+// like Fsck). *ib caches the directory's single-indirect block: nil
+// until the first lbn that needs it, then reused for the rest of the
+// directory.
+func (rp *repairer) dirBlockFsbn(di *Dinode, lbn int64, ib *[]byte) int32 {
 	if lbn < NDADDR {
 		return di.DB[lbn]
 	}
 	if di.IB[0] != 0 && lbn-NDADDR < rp.sb.NindirPerBlock() {
-		return getIndir(rp.readBlk(di.IB[0]), lbn-NDADDR)
+		if *ib == nil {
+			*ib = rp.readBlk(di.IB[0])
+		}
+		return getIndir(*ib, lbn-NDADDR)
 	}
 	return 0
 }
@@ -509,8 +514,9 @@ func (rp *repairer) walkDirectories() {
 		di := &rp.dinode[fr.ino]
 		nblocks := di.Size / int64(sb.Bsize)
 		var children []frame
+		var ib []byte
 		for lbn := int64(0); lbn < nblocks; lbn++ {
-			fsbn := rp.dirBlockFsbn(di, lbn)
+			fsbn := rp.dirBlockFsbn(di, lbn, &ib)
 			if fsbn == 0 {
 				continue // fixPointers already truncated holes; defensive
 			}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"ufsclust/internal/disk"
 	"ufsclust/internal/sim"
 )
 
@@ -336,5 +337,69 @@ func TestRepairIsIdempotent(t *testing.T) {
 	}
 	if len(second.Fixes) != 0 {
 		t.Fatalf("second repair applied fixes: %v", second.Fixes)
+	}
+}
+
+// readCounter counts offline reads per starting sector.
+type readCounter struct {
+	disk.Device
+	reads map[int64]int
+}
+
+func (c *readCounter) ReadImage(sector int64, buf []byte) {
+	c.reads[sector]++
+	c.Device.ReadImage(sector, buf)
+}
+
+// TestOfflinePassesReadDirIndirectOnce grows a directory into its
+// single-indirect range and counts how often Fsck and Repair fetch that
+// indirect block. Each pass that needs it reads it once: Fsck's block
+// claim pass and its directory walk; Repair's pointer check, directory
+// walk and map rebuild, then its closing Fsck.
+func TestOfflinePassesReadDirIndirectOnce(t *testing.T) {
+	r := newRig(t, MkfsOpts{})
+	name := strings.Repeat("n", 200)
+	r.run(t, func(p *sim.Proc) {
+		if _, err := r.fs.Mkdir(p, "/d"); err != nil {
+			t.Error(err)
+			return
+		}
+		// 200-byte names: 38 entries per 8 KB block, so 760 entries
+		// fill 20 blocks, 8 of them behind the indirect block.
+		for i := 0; i < 760; i++ {
+			if _, err := r.fs.Create(p, "/d/"+name+itoa(i)); err != nil {
+				t.Errorf("create %d: %v", i, err)
+				return
+			}
+		}
+	})
+	r.fs.SyncImage()
+	var dir Dinode
+	for ino := int32(RootIno + 1); ino < r.sb.Ncg*r.sb.Ipg; ino++ {
+		if di := r.readDinode(ino); di.IsDir() {
+			dir = di
+			break
+		}
+	}
+	if dir.IB[0] == 0 || dir.Size <= NDADDR*int64(r.sb.Bsize) {
+		t.Fatalf("directory never reached its indirect block (size %d)", dir.Size)
+	}
+	ibSector := r.sb.FsbToDb(dir.IB[0])
+
+	c := &readCounter{Device: r.d, reads: map[int64]int{}}
+	rep, err := Fsck(c)
+	if err != nil || !rep.Clean() {
+		t.Fatalf("fsck: %v %v", err, rep)
+	}
+	if got := c.reads[ibSector]; got != 2 {
+		t.Errorf("Fsck read the directory's indirect block %d times, want 2", got)
+	}
+
+	c.reads = map[int64]int{}
+	if rr, err := Repair(c); err != nil || !rr.Clean() {
+		t.Fatalf("repair: %v %v", err, rr)
+	}
+	if got := c.reads[ibSector]; got != 5 {
+		t.Errorf("Repair read the directory's indirect block %d times, want 5", got)
 	}
 }

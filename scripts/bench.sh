@@ -4,8 +4,10 @@
 # Builds cmd/simbench and measures the kernel's host cost (events/sec,
 # allocs/event, context-switch and ping-pong latency, parallel-runner
 # scaling, the telemetry bus's zero-subscriber Emit overhead, and the
-# adaptive read-ahead policy's decision cost), writing the report to
-# BENCH_sim.json at the repo root. Then builds cmd/iobench and writes
+# adaptive read-ahead policy's decision cost) plus one offline recovery
+# (ufs.Repair then ufs.Fsck of a fixed crash image: host ns, allocs,
+# bytes, sectors read), writing the report to BENCH_sim.json at the
+# repo root. Then builds cmd/iobench and writes
 # the read-ahead policy comparison matrix (policy x {FSR, FRR, FMX}
 # under memory pressure, simulated throughput and prefetch hit/waste
 # counters), the volume matrix (cluster size x RAID level x stripe
@@ -19,6 +21,14 @@
 # pre-fast-path kernel, measured interleaved against the new one when
 # this harness was introduced) is carried forward so the old-vs-new
 # speedup columns stay anchored to the same reference across runs.
+#
+# The recovery baseline is carried forward the same way, from the prior
+# report's recovery_baseline or, when it has none, its current recovery
+# numbers. To re-anchor it, build simbench from the old tree (copying in
+# this tree's cmd/simbench/main.go if the old one predates the recovery
+# workload), run it with `-baseline BENCH_sim.json -o old.json`, copy
+# old.json over BENCH_sim.json without its recovery_baseline, and run
+# this script on the new tree right after, on the same host.
 #
 # Usage: scripts/bench.sh [extra simbench flags]
 #   e.g. scripts/bench.sh -reps 12

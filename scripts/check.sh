@@ -17,6 +17,12 @@
 #   4. go test ./...                       the full test suite, including
 #                                          the same-seed replay gate and
 #                                          the simlint golden tests
+#      fuzz smoke                          5 s of each native fuzz target
+#                                          over the ufs decoders
+#                                          (FuzzUnmarshalCG,
+#                                          FuzzUnmarshalDinode,
+#                                          FuzzParseDirents); none may
+#                                          panic on any input
 #   5. go test -race ./internal/sim/...    the packages that touch host
 #      go test -race ./internal/runner/... goroutines and channels
 #      go test -race ./internal/telemetry/...  (and the bus, whose
@@ -73,6 +79,11 @@ echo "==> simlint self-run (internal/analysis/...)"
 
 echo "==> go test ./..."
 go test ./...
+
+for target in FuzzUnmarshalCG FuzzUnmarshalDinode FuzzParseDirents; do
+    echo "==> fuzz smoke: $target"
+    go test ./internal/ufs -run '^$' -fuzz "^$target\$" -fuzztime 5s -parallel 2
+done
 
 echo "==> go test -race ./internal/sim/..."
 go test -race ./internal/sim/...
