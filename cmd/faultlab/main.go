@@ -55,29 +55,18 @@ func main() {
 	loseMember := flag.Int("losemember", -1, "run the spindle-loss round trip against this member instead of the cut sweep")
 	flag.Parse()
 
-	var rc ufsclust.RunConfig
-	found := false
-	for _, r := range ufsclust.Runs() {
-		if strings.EqualFold(r.Name, *runName) {
-			rc, found = r, true
-		}
-	}
-	if !found {
+	rc, ok := ufsclust.RunByName(*runName)
+	if !ok {
 		fmt.Fprintf(os.Stderr, "faultlab: unknown run %q\n", *runName)
 		os.Exit(2)
 	}
-
-	w := faultlab.Workload{RC: rc, FileMB: *fileMB, FsyncEvery: *fsync, Seed: *seed}
-	switch *jmode {
-	case "off":
-	case "wal":
-		w.Journal = &wal.Config{}
-	case "wal-clustered":
-		w.Journal = &wal.Config{Clustered: true}
-	default:
+	jcfg, ok := wal.ParseMode(*jmode)
+	if !ok {
 		fmt.Fprintf(os.Stderr, "faultlab: unknown journal mode %q\n", *jmode)
 		os.Exit(2)
 	}
+
+	w := faultlab.Workload{RC: rc, FileMB: *fileMB, FsyncEvery: *fsync, Seed: *seed, Journal: jcfg}
 	if *volLevel != "" {
 		lvl, ok := vol.ParseLevel(*volLevel)
 		if !ok {

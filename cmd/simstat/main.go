@@ -13,10 +13,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"ufsclust"
 	"ufsclust/internal/iobench"
+	"ufsclust/internal/prefetch"
+	"ufsclust/internal/vec"
 	"ufsclust/internal/wal"
 )
 
@@ -35,54 +38,46 @@ func main() {
 	jsonl := flag.String("jsonl", "", "write the measured phase's event stream to this file as JSON lines (- for stdout)")
 	flag.Parse()
 
-	var rc ufsclust.RunConfig
-	found := false
-	for _, r := range ufsclust.Runs() {
-		if r.Name == *runName {
-			rc, found = r, true
-		}
-	}
-	if !found {
+	rc, ok := ufsclust.RunByName(*runName)
+	if !ok {
 		fmt.Fprintf(os.Stderr, "simstat: unknown run %q\n", *runName)
 		os.Exit(2)
 	}
 	kind := iobench.Kind(strings.ToUpper(*kindFlag))
-	ok := false
-	for _, k := range iobench.AllKinds() {
-		if k == kind {
-			ok = true
-		}
-	}
-	if !ok {
+	if !slices.Contains(iobench.AllKinds(), kind) {
 		fmt.Fprintf(os.Stderr, "simstat: unknown kind %q\n", *kindFlag)
 		os.Exit(2)
 	}
-	pol, ok := iobench.PolicyFactory(*raFlag)
+	pol, ok := prefetch.ParsePolicy(*raFlag)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "simstat: unknown read-ahead policy %q\n", *raFlag)
 		os.Exit(2)
 	}
-	vfac, ok := iobench.VecFactory(*vecFlag)
+	strat, ok := vec.ParseStrategy(*vecFlag)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "simstat: unknown vec strategy %q\n", *vecFlag)
 		os.Exit(2)
 	}
-
-	prm := iobench.Params{FileMB: *fileMB, RandomOps: *ops, Seed: *seed, Policy: pol,
-		Vec: vfac, Record: *record, Stride: *stride}
-	switch *jmode {
-	case "off":
-	case "wal":
-		prm.Journal = &wal.Config{}
-	case "wal-clustered":
-		prm.Journal = &wal.Config{Clustered: true}
-	default:
+	jcfg, ok := wal.ParseMode(*jmode)
+	if !ok {
 		fmt.Fprintf(os.Stderr, "simstat: unknown journal mode %q\n", *jmode)
 		os.Exit(2)
 	}
-	if *memMB > 0 {
-		prm.MemBytes = int64(*memMB) << 20
-	}
+
+	prm := iobench.Params{FileMB: *fileMB, RandomOps: *ops, Seed: *seed, Record: *record, Stride: *stride,
+		Machine: func() []ufsclust.Option {
+			opts := []ufsclust.Option{ufsclust.WithMemBytes(int64(max(*memMB, 0)) << 20)}
+			if pol != nil {
+				opts = append(opts, ufsclust.WithReadAhead(pol()))
+			}
+			if strat != nil {
+				opts = append(opts, ufsclust.WithVecStrategy(strat))
+			}
+			if jcfg != nil {
+				opts = append(opts, ufsclust.WithJournal(*jcfg))
+			}
+			return opts
+		}}
 	if *jsonl == "-" {
 		prm.EventW = os.Stdout
 	} else if *jsonl != "" {
@@ -111,7 +106,7 @@ func main() {
 			*vecFlag, calls, snap.Get("core.vec_runs"), snap.Get("core.vec_coalesced"),
 			snap.Get("core.sieve_waste"), snap.Get("driver.vec_queued"))
 	}
-	if prm.Journal != nil {
+	if jcfg != nil {
 		fmt.Printf("journal %s: %d commits (%d blocks, %d sectors), %d checkpoints (%d blocks), %d staged metadata writes\n",
 			*jmode, snap.Get("wal.commits"), snap.Get("wal.commit_blocks"), snap.Get("wal.commit_sectors"),
 			snap.Get("wal.checkpoints"), snap.Get("wal.checkpoint_blocks"), snap.Get("fs.journal_meta_writes"))

@@ -198,7 +198,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m2, err := New(RunA(), WithImage(img))
+	m2, err := New(RunA(), WithImages(img))
 	if err != nil {
 		t.Fatal(err)
 	}

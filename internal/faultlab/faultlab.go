@@ -437,7 +437,7 @@ func RunDegradedMember(w Workload, member int) (*MemberReport, error) {
 		Kind: fault.MediaHard,
 	}}}
 	m, err := ufsclust.New(w.RC, w.options(3,
-		ufsclust.WithVolumeImages(base.VolImages),
+		ufsclust.WithImages(base.VolImages...),
 		ufsclust.WithFaultPlan(plan))...)
 	if err != nil {
 		return nil, err

@@ -103,7 +103,7 @@ func TestRecoverFlagsLostAcknowledgedData(t *testing.T) {
 	// Find a sector holding acknowledged data and wipe it. The file's
 	// bytes are pattern (never zero), so scan the image for a sector
 	// matching the start of the pattern.
-	m, err := ufsclust.New(w.RC, ufsclust.WithImage(st.Image))
+	m, err := ufsclust.New(w.RC, ufsclust.WithImages(st.Image))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,13 +13,9 @@ import (
 	"strings"
 
 	"ufsclust"
-	"ufsclust/internal/prefetch"
 	"ufsclust/internal/runner"
 	"ufsclust/internal/sim"
 	"ufsclust/internal/telemetry"
-	"ufsclust/internal/vec"
-	"ufsclust/internal/vol"
-	"ufsclust/internal/wal"
 )
 
 // Kind is one IObench I/O type.
@@ -70,40 +66,6 @@ const MixedPhases = 4
 // shape that baits an eager prefetcher into issuing a full cluster.
 const MixedBurstBlocks = 2
 
-// PolicyFactory maps a command-line policy name to a Params.Policy
-// factory: "fixed" is nil (the run configuration's default), "adaptive"
-// builds a fresh default-tuned adaptive policy per machine, and "off"
-// disables read-ahead. The second result is false for unknown names.
-func PolicyFactory(name string) (func() prefetch.Policy, bool) {
-	switch strings.ToLower(name) {
-	case "fixed", "":
-		return nil, true
-	case "adaptive":
-		return func() prefetch.Policy { return prefetch.NewAdaptive(prefetch.AdaptiveConfig{}) }, true
-	case "off":
-		return func() prefetch.Policy { return prefetch.Off() }, true
-	}
-	return nil, false
-}
-
-// VecFactory maps a command-line vec-strategy name to a Params.Vec
-// factory: "auto" is nil (the engine's density-threshold default), and
-// "naive"/"sieve"/"list" force one method for every multi-element
-// vector. The second result is false for unknown names.
-func VecFactory(name string) (func() vec.Strategy, bool) {
-	switch strings.ToLower(name) {
-	case "auto", "":
-		return nil, true
-	case "naive":
-		return func() vec.Strategy { return vec.UseNaive() }, true
-	case "sieve":
-		return func() vec.Strategy { return vec.UseSieve() }, true
-	case "list":
-		return func() vec.Strategy { return vec.UseList() }, true
-	}
-	return nil, false
-}
-
 // Params sizes a benchmark run. The defaults are the paper's hardware
 // constraints: a 16 MB file (twice physical memory) moved 8 KB at a
 // time.
@@ -112,7 +74,15 @@ type Params struct {
 	IOSize    int   // bytes per read/write call; default 8192
 	RandomOps int   // operations in random phases; default file/IOSize
 	Seed      int64 // workload RNG seed
-	MemBytes  int64 // machine memory; default 8 MB
+
+	// Machine, when non-nil, is called once per machine to build the
+	// options applied on top of the run configuration: memory size,
+	// read-ahead policy, volume, journal, vec strategy (see the With*
+	// constructors in package ufsclust). It is a factory rather than a
+	// slice because read-ahead policies carry per-file detector state
+	// that must not be shared across machines, and parallel cells each
+	// build their own machine.
+	Machine func() []ufsclust.Option
 
 	// TraceW, when non-nil, receives the machine's scheduler trace
 	// (sim.Sim.TraceW). Only meaningful for a single Run: feeding one
@@ -124,24 +94,6 @@ type Params struct {
 	// produce byte-identical streams. Single Run only, like TraceW.
 	EventW io.Writer
 
-	// Policy, when non-nil, is called once per machine to build that
-	// machine's read-ahead policy (see ufsclust.WithReadAhead). It is a
-	// factory rather than an instance because policies carry per-file
-	// detector state that must not be shared across machines. nil keeps
-	// the run configuration's default (the paper's fixed one-cluster
-	// read-ahead).
-	Policy func() prefetch.Policy
-
-	// Volume, when non-nil, runs the benchmark on a composed volume
-	// (ufsclust.WithVolume) instead of the single sd0 — the -volmatrix
-	// sweep's cell configuration.
-	Volume *vol.Config
-
-	// Journal, when non-nil, runs the benchmark on a journaled machine
-	// (ufsclust.WithJournal) — the -jmatrix sweep's cell configuration
-	// for measuring the log's steady-state write amplification.
-	Journal *wal.Config
-
 	// Record and Stride shape the FSTR cell: each vector element reads
 	// Record bytes, element starts are Stride bytes apart. Defaults:
 	// Record = IOSize, Stride = 4*Record. Ignored by other kinds.
@@ -151,12 +103,6 @@ type Params struct {
 	// VecBatch is the number of elements per Readv call in FSTR;
 	// default 32.
 	VecBatch int
-
-	// Vec, when non-nil, is called once per machine to build that
-	// machine's Readv/Writev strategy (see ufsclust.WithVecStrategy).
-	// nil keeps the engine's density-threshold auto pick. A factory for
-	// symmetry with Policy, though today's strategies are stateless.
-	Vec func() vec.Strategy
 
 	// VecSingle, when set, routes every scalar Read/Write of the
 	// measured phase through a single-element Readv/Writev instead.
@@ -220,21 +166,9 @@ func Run(rc ufsclust.RunConfig, kind Kind, prm Params) (Result, error) {
 // histograms or driver queue depths read them from the snapshot.
 func RunMeasured(rc ufsclust.RunConfig, kind Kind, prm Params) (Result, telemetry.Snapshot, error) {
 	prm = prm.withDefaults()
-	opts := []ufsclust.Option{
-		ufsclust.WithSeed(prm.Seed + 1),
-		ufsclust.WithMemBytes(prm.MemBytes),
-	}
-	if prm.Policy != nil {
-		opts = append(opts, ufsclust.WithReadAhead(prm.Policy()))
-	}
-	if prm.Volume != nil {
-		opts = append(opts, ufsclust.WithVolume(*prm.Volume))
-	}
-	if prm.Journal != nil {
-		opts = append(opts, ufsclust.WithJournal(*prm.Journal))
-	}
-	if prm.Vec != nil {
-		opts = append(opts, ufsclust.WithVecStrategy(prm.Vec()))
+	opts := []ufsclust.Option{ufsclust.WithSeed(prm.Seed + 1)}
+	if prm.Machine != nil {
+		opts = append(opts, prm.Machine()...)
 	}
 	m, err := ufsclust.New(rc, opts...)
 	if err != nil {

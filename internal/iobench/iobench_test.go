@@ -11,7 +11,7 @@ import (
 // smallParams keeps unit tests quick; the full 16 MB paper configuration
 // runs in the benchmark harness (bench_test.go, cmd/iobench).
 func smallParams() Params {
-	return Params{FileMB: 8, RandomOps: 192, MemBytes: 8 << 20}
+	return Params{FileMB: 8, RandomOps: 192}
 }
 
 func TestKindsOrder(t *testing.T) {

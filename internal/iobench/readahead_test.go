@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"ufsclust"
@@ -16,11 +17,22 @@ import (
 func runKindStream(t *testing.T, kind Kind, pol func() prefetch.Policy) []byte {
 	t.Helper()
 	var ew bytes.Buffer
-	prm := Params{FileMB: 1, RandomOps: 16, EventW: &ew, Policy: pol}
+	prm := Params{FileMB: 1, RandomOps: 16, EventW: &ew, Machine: withPolicy(pol)}
 	if _, _, err := RunMeasured(ufsclust.RunA(), kind, prm); err != nil {
 		t.Fatal(err)
 	}
 	return ew.Bytes()
+}
+
+// withPolicy is a Params.Machine factory: opts plus, when pol is
+// non-nil, a fresh read-ahead policy for every machine.
+func withPolicy(pol func() prefetch.Policy, opts ...ufsclust.Option) func() []ufsclust.Option {
+	return func() []ufsclust.Option {
+		if pol == nil {
+			return opts
+		}
+		return append(slices.Clip(opts), ufsclust.WithReadAhead(pol()))
+	}
 }
 
 func checkGolden(t *testing.T, got []byte, name string) {
@@ -82,7 +94,7 @@ func TestAdaptiveEventStreamDeterministic(t *testing.T) {
 // returns the rate plus the read-ahead hit/waste counters.
 func pressureCell(t *testing.T, kind Kind, ops int, pol func() prefetch.Policy) (rate float64, hits, waste int64) {
 	t.Helper()
-	prm := Params{FileMB: 2, RandomOps: ops, MemBytes: 1 << 20, Policy: pol}
+	prm := Params{FileMB: 2, RandomOps: ops, Machine: withPolicy(pol, ufsclust.WithMemBytes(1<<20))}
 	res, snap, err := RunMeasured(ufsclust.RunA(), kind, prm)
 	if err != nil {
 		t.Fatal(err)

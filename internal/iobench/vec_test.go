@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ufsclust"
+	"ufsclust/internal/vec"
 )
 
 // runVecSingleStream is runKindStream with every scalar Read/Write of
@@ -41,12 +42,14 @@ func TestStridedCell(t *testing.T) {
 		want += int64(prm.Record)
 	}
 	for _, name := range []string{"auto", "naive", "sieve", "list"} {
-		fac, ok := VecFactory(name)
+		strat, ok := vec.ParseStrategy(name)
 		if !ok {
-			t.Fatalf("VecFactory(%q) unknown", name)
+			t.Fatalf("vec.ParseStrategy(%q) unknown", name)
 		}
 		p := prm
-		p.Vec = fac
+		if strat != nil {
+			p.Machine = func() []ufsclust.Option { return []ufsclust.Option{ufsclust.WithVecStrategy(strat)} }
+		}
 		res, snap, err := RunMeasured(ufsclust.RunA(), FSTR, p)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -68,11 +71,5 @@ func TestStridedCell(t *testing.T) {
 		if snap.Get("core.vec_calls") == 0 {
 			t.Errorf("%s: no vectored calls counted", name)
 		}
-	}
-}
-
-func TestVecFactoryUnknown(t *testing.T) {
-	if _, ok := VecFactory("bogus"); ok {
-		t.Fatal("VecFactory accepted an unknown name")
 	}
 }

@@ -27,7 +27,9 @@ func TestVolumePassthroughMatchesGoldens(t *testing.T) {
 		RandomOps: 16,
 		TraceW:    &tw,
 		EventW:    &ew,
-		Volume:    &vol.Config{Level: vol.Concat, Members: 1},
+		Machine: func() []ufsclust.Option {
+			return []ufsclust.Option{ufsclust.WithVolume(vol.Config{Level: vol.Concat, Members: 1})}
+		},
 	}
 	if _, _, err := RunMeasured(ufsclust.RunA(), FSW, prm); err != nil {
 		t.Fatal(err)

@@ -21,6 +21,8 @@
 // event stream replays byte-identically across same-seed runs.
 package prefetch
 
+import "strings"
+
 // Limits carries the resource state a policy may clamp its window
 // against. The engine fills it from live machine state at each trigger.
 type Limits struct {
@@ -78,6 +80,26 @@ type Policy interface {
 // Off returns the nil policy: WithReadAhead(prefetch.Off()) disables
 // read-ahead entirely (the engine's ReadAhead switch turns off).
 func Off() Policy { return nil }
+
+// ParsePolicy maps a command-line policy name to a per-machine policy
+// factory. "fixed" (or "") is a nil factory: keep the engine's default
+// one-cluster policy. "adaptive" builds a fresh default-tuned adaptive
+// policy on every call, and "off" returns Off. Names are
+// case-insensitive; the second result is false for unknown names.
+//
+// It is a factory rather than a Policy because policies carry per-file
+// state that must never be shared across machines.
+func ParsePolicy(name string) (func() Policy, bool) {
+	switch strings.ToLower(name) {
+	case "fixed", "":
+		return nil, true
+	case "adaptive":
+		return func() Policy { return NewAdaptive(AdaptiveConfig{}) }, true
+	case "off":
+		return Off, true
+	}
+	return nil, false
+}
 
 // fixed is the paper's policy: one cluster ahead on every trigger,
 // no per-file state, no clamps — exactly the pre-policy nextrio code.

@@ -23,6 +23,7 @@ package vec
 import (
 	"fmt"
 	"sort"
+	"strings"
 )
 
 // Ext is one element of an I/O vector: Len bytes at file offset Off.
@@ -190,6 +191,25 @@ func UseSieve() Strategy { return fixed{Sieve} }
 
 // UseList returns the always-list-I/O strategy.
 func UseList() Strategy { return fixed{List} }
+
+// ParseStrategy maps a command-line strategy name to a Strategy. "auto"
+// (or "") is nil: keep the engine's density-threshold default.
+// "naive", "sieve" and "list" force one method for every multi-element
+// vector. Names are case-insensitive; the second result is false for
+// unknown names.
+func ParseStrategy(name string) (Strategy, bool) {
+	switch strings.ToLower(name) {
+	case "auto", "":
+		return nil, true
+	case "naive":
+		return UseNaive(), true
+	case "sieve":
+		return UseSieve(), true
+	case "list":
+		return UseList(), true
+	}
+	return nil, false
+}
 
 // DefaultDenseCutoff is Auto's default density threshold, calibrated
 // against the FSTR stride matrix in BENCH_iobench.json: on the

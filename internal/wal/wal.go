@@ -37,6 +37,7 @@ package wal
 import (
 	"encoding/binary"
 	"fmt"
+	"strings"
 
 	"ufsclust/internal/detsort"
 	"ufsclust/internal/disk"
@@ -85,6 +86,22 @@ func (c Config) Blocks() int {
 		return DefaultLogBlocks
 	}
 	return c.LogBlocks
+}
+
+// ParseMode maps a command-line journal mode to a Config. "off" (or "")
+// is nil: no journal. "wal" is the default one-transfer-per-record
+// layout and "wal-clustered" the Clustered layout. Names are
+// case-insensitive; the second result is false for unknown names.
+func ParseMode(name string) (*Config, bool) {
+	switch strings.ToLower(name) {
+	case "off", "":
+		return nil, true
+	case "wal":
+		return &Config{}, true
+	case "wal-clustered":
+		return &Config{Clustered: true}, true
+	}
+	return nil, false
 }
 
 // checksum is FNV-1a 64 over the given bytes — content protection for

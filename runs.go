@@ -1,6 +1,8 @@
 package ufsclust
 
 import (
+	"strings"
+
 	"ufsclust/internal/core"
 	"ufsclust/internal/driver"
 	"ufsclust/internal/ufs"
@@ -45,6 +47,17 @@ func RunD() RunConfig {
 
 // Runs returns all four configurations in paper order.
 func Runs() []RunConfig { return []RunConfig{RunA(), RunB(), RunC(), RunD()} }
+
+// RunByName looks a configuration up by its name, ignoring case; the
+// second result is false for unknown names.
+func RunByName(name string) (RunConfig, bool) {
+	for _, rc := range Runs() {
+		if strings.EqualFold(rc.Name, name) {
+			return rc, true
+		}
+	}
+	return RunConfig{}, false
+}
 
 // Options converts a run configuration into machine options. Extra
 // tweaks (memory size, seed) can be applied to the result.

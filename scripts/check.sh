@@ -53,6 +53,12 @@
 #                                          recovery); exits nonzero on
 #                                          any crash-consistency
 #                                          violation
+#      simstat smoke cell                  one 2 MB FSTR cell with every
+#                                          axis flag set to a non-default
+#                                          name (-ra adaptive -vec sieve
+#                                          -journal wal-clustered), so the
+#                                          shared name parsers run end to
+#                                          end from a command line
 #   7. coverage summary                    go test -cover over the model
 #                                          packages, informational
 #
@@ -118,6 +124,12 @@ echo "==> faultlab smoke sweep (degraded mirror)"
 
 echo "==> faultlab smoke sweep (journaled, replay recovery)"
 "$tmp/faultlab" -file 2 -fsync 262144 -cuts 8 -seed 7 -journal wal
+
+echo "==> simstat smoke cell (every axis flag non-default)"
+go build -o "$tmp/simstat" ./cmd/simstat
+"$tmp/simstat" -kind FSTR -file 2 -ra adaptive -vec sieve -journal wal-clustered >"$tmp/simstat.out"
+grep -q '^vectored sieve:' "$tmp/simstat.out"
+grep -q '^journal wal-clustered:' "$tmp/simstat.out"
 
 echo "==> coverage summary (informational)"
 go test -cover ./internal/vol/ ./internal/core/ ./internal/ufs/ ./internal/disk/ ./internal/driver/ ./internal/faultlab/ 2>/dev/null | awk '{printf "    %-28s %s\n", $2, $5}'

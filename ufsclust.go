@@ -23,6 +23,7 @@
 package ufsclust
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
@@ -77,20 +78,20 @@ type Options struct {
 	// the zero value injects nothing. See internal/fault.
 	Fault fault.Plan
 
-	// Image, when non-nil, is a platter snapshot (disk.Disk.Snapshot)
-	// restored instead of running mkfs; the machine mounts the existing
-	// file system. RepairImage additionally runs ufs.Repair on the
-	// image before mounting — the crash-recovery path.
-	Image       *disk.Image
+	// Images, when non-empty, are platter snapshots restored instead of
+	// running mkfs; the machine mounts the existing file system. A
+	// bare-disk machine takes exactly one (disk.Disk.Snapshot), a volume
+	// machine one per member in member order (vol.Volume.Snapshot).
+	// RepairImage additionally runs ufs.Repair on the restored image
+	// before mounting — the crash-recovery path — and requires Images.
+	Images      []*disk.Image
 	RepairImage bool
 
 	// Volume, when non-nil, composes the machine's storage from several
 	// member drives (concat, RAID-0/1/5 — see internal/vol) instead of
 	// the single sd0. Options.Disk becomes the member template when
-	// Volume.Member is nil. Image is then ignored; VolImages restores
-	// member snapshots (vol.Volume.Snapshot) instead.
-	Volume    *vol.Config
-	VolImages []*disk.Image
+	// Volume.Member is nil.
+	Volume *vol.Config
 
 	// Journal, when non-nil, reserves an on-disk log region at mkfs
 	// time and mounts the file system with the write-ahead metadata
@@ -151,6 +152,12 @@ type Machine struct {
 
 // NewMachine builds a machine, formats its disk, and mounts it.
 func NewMachine(o Options) (*Machine, error) {
+	if o.RepairImage && len(o.Images) == 0 {
+		return nil, errors.New("ufsclust: RepairImage set with no images to repair")
+	}
+	if o.Volume == nil && len(o.Images) > 1 {
+		return nil, fmt.Errorf("ufsclust: %d images for a bare-disk machine, want 1", len(o.Images))
+	}
 	if o.MIPS == 0 {
 		o.MIPS = 12
 	}
@@ -204,17 +211,14 @@ func NewMachine(o Options) (*Machine, error) {
 
 	var repairLog *ufs.RepairReport
 	var replayLog *wal.RecoverReport
-	restored := false
-	if vl != nil && o.VolImages != nil {
-		if err := vl.Restore(o.VolImages); err != nil {
-			return nil, err
+	if len(o.Images) > 0 {
+		if vl != nil {
+			if err := vl.Restore(o.Images); err != nil {
+				return nil, err
+			}
+		} else {
+			d.Restore(o.Images[0])
 		}
-		restored = true
-	} else if vl == nil && o.Image != nil {
-		d.Restore(o.Image)
-		restored = true
-	}
-	if restored {
 		if o.RepairImage {
 			// A journaled image recovers by log replay — cost bounded by
 			// the log region size — instead of the full-image sweep. The
@@ -341,4 +345,3 @@ func (m *Machine) Fsck() (*ufs.FsckReport, error) {
 func (m *Machine) Snapshot() telemetry.Snapshot {
 	return m.Tel.Reg.Snapshot(m.Sim.Now())
 }
-

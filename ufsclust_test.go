@@ -2,6 +2,7 @@ package ufsclust
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"ufsclust/internal/sim"
@@ -40,6 +41,20 @@ func TestRunConfigsMatchFigure9(t *testing.T) {
 	}
 	if d.FreeBehind || d.WriteLimit {
 		t.Errorf("run D = %+v", d)
+	}
+}
+
+func TestRunByName(t *testing.T) {
+	for _, name := range []string{"A", "b", "C", "d"} {
+		rc, ok := RunByName(name)
+		if !ok || !strings.EqualFold(rc.Name, name) {
+			t.Errorf("RunByName(%q) = %+v, %v", name, rc, ok)
+		}
+	}
+	for _, name := range []string{"", "E", "AB", " A"} {
+		if rc, ok := RunByName(name); ok {
+			t.Errorf("RunByName(%q) accepted unknown name: %+v", name, rc)
+		}
 	}
 }
 

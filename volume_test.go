@@ -93,7 +93,7 @@ func TestUFSOnEveryVolumeLevel(t *testing.T) {
 }
 
 // TestVolumeSnapshotBoot moves a populated RAID-1 array between
-// machines via member snapshots — the volume counterpart of WithImage.
+// machines via member snapshots — the volume side of WithImages.
 func TestVolumeSnapshotBoot(t *testing.T) {
 	cfg := vol.Config{Level: vol.RAID1, Members: 2}
 	data := make([]byte, 256<<10)
@@ -121,7 +121,7 @@ func TestVolumeSnapshotBoot(t *testing.T) {
 	imgs := m.Vol.Snapshot()
 
 	m2, err := New(RunA(), WithSeed(6), WithDiskParams(volMember()),
-		WithVolume(cfg), WithVolumeImages(imgs))
+		WithVolume(cfg), WithImages(imgs...))
 	if err != nil {
 		t.Fatal(err)
 	}
