@@ -11,8 +11,9 @@
 // virtual-time behaviour of the kernel is pinned separately by the
 // byte-identical-replay gates. This tool measures host cost only.
 //
-// Beside the kernel workloads it measures one offline recovery: ufs.Repair
-// then ufs.Fsck on a fixed plain crash image.
+// Beside the kernel workloads it measures one offline recovery (ufs.Repair
+// then ufs.Fsck on a fixed plain crash image) and the RAID-5 parity fold
+// (offline read-modify-write of 32 KB chunks).
 //
 // Usage:
 //
@@ -36,6 +37,7 @@ import (
 	"ufsclust/internal/sim"
 	"ufsclust/internal/telemetry"
 	"ufsclust/internal/ufs"
+	"ufsclust/internal/vol"
 )
 
 // Metrics is the host cost of one pinned workload.
@@ -78,6 +80,9 @@ type Workloads struct {
 	// Recovery: offline repair of a plain crash image (absent from
 	// reports that predate it).
 	Recovery *Recovery `json:"recovery,omitempty"`
+	// Parity: the RAID-5 read-modify-write fold (absent from reports
+	// that predate it).
+	Parity *Parity `json:"parity,omitempty"`
 }
 
 // Recovery is the host cost of one offline recovery of a plain crash
@@ -89,6 +94,20 @@ type Recovery struct {
 	Allocs      uint64 `json:"allocs"`
 	Bytes       uint64 `json:"bytes"`
 	SectorsRead int64  `json:"sectors_read"`
+}
+
+// Parity is the host cost of the RAID-5 read-modify-write fold: offline
+// partial-row writes (vol.Volume.WriteImage) of one 32 KB chunk each on
+// the office machine's array — three members, 32 KB stripe unit — over
+// rows already on the platter. Each write reads the old data and the
+// old parity, folds old ⊕ new into the parity, and writes both back.
+// MBPerSec counts chunk bytes folded per host second.
+type Parity struct {
+	Bytes      int64   `json:"bytes"`
+	HostNs     int64   `json:"host_ns"`
+	MBPerSec   float64 `json:"mb_per_sec"`
+	Allocs     uint64  `json:"allocs"`
+	AllocBytes uint64  `json:"alloc_bytes"`
 }
 
 // Report is the BENCH_sim.json schema.
@@ -104,6 +123,10 @@ type Report struct {
 	// it on the tree before its last optimization (fastest of -reps,
 	// like Current.Recovery); it is carried forward like Baseline.
 	RecoveryBaseline *Recovery `json:"recovery_baseline,omitempty"`
+	// ParityBaseline is the parity workload as this tool measured it on
+	// the tree before the word-wide kernel; carried forward like
+	// RecoveryBaseline.
+	ParityBaseline *Parity `json:"parity_baseline,omitempty"`
 }
 
 // Speedup compares Current against Baseline (ratios > 1 mean the
@@ -117,6 +140,8 @@ type Speedup struct {
 	RecoveryHostNsRatio    float64 `json:"recovery_host_ns_old_over_new,omitempty"`
 	RecoveryBytesRatio     float64 `json:"recovery_bytes_old_over_new,omitempty"`
 	RecoverySectorsRatio   float64 `json:"recovery_sectors_old_over_new,omitempty"`
+	ParityMBPerSec         float64 `json:"parity_mb_per_sec_new_over_old,omitempty"`
+	ParityAllocBytesRatio  float64 `json:"parity_alloc_bytes_old_over_new,omitempty"`
 }
 
 func main() {
@@ -139,6 +164,7 @@ func main() {
 	rep.Current.TelemetryEmit = measure(*reps, telemetryEmit(*events))
 	rep.Current.ReadAhead = measure(*reps, readahead(*events))
 	rep.Current.Recovery = measureRecovery(*reps)
+	rep.Current.Parity = measureParity(*reps)
 
 	if *baseline != "" {
 		if err := attachBaseline(&rep, *baseline); err != nil {
@@ -201,6 +227,16 @@ func attachBaseline(rep *Report, path string) error {
 		rep.Speedup.RecoveryHostNsRatio = ratio(float64(rb.HostNs), float64(c.HostNs))
 		rep.Speedup.RecoveryBytesRatio = ratio(float64(rb.Bytes), float64(c.Bytes))
 		rep.Speedup.RecoverySectorsRatio = ratio(float64(rb.SectorsRead), float64(c.SectorsRead))
+	}
+
+	pb := old.ParityBaseline
+	if pb == nil {
+		pb = old.Current.Parity
+	}
+	rep.ParityBaseline = pb
+	if c := rep.Current.Parity; pb != nil && c != nil {
+		rep.Speedup.ParityMBPerSec = ratio(c.MBPerSec, pb.MBPerSec)
+		rep.Speedup.ParityAllocBytesRatio = ratio(float64(pb.AllocBytes), float64(c.AllocBytes))
 	}
 	return nil
 }
@@ -440,6 +476,60 @@ func measureRecovery(reps int) *Recovery {
 		if best == nil || cur.HostNs < best.HostNs {
 			best = cur
 		}
+	}
+	return best
+}
+
+// measureParity lays down every row of a 256-row region of the array once,
+// then times four passes of partial-row writes over it, reps times,
+// keeping the fastest. Each pass writes one 32 KB chunk per row,
+// alternating between the row's two data chunks.
+func measureParity(reps int) *Parity {
+	s := sim.New(1)
+	defer s.Close()
+	v, err := vol.New(s, "vol0", vol.Config{Level: vol.RAID5, Members: 3, StripeKB: 32})
+	if err != nil {
+		fatal(err)
+	}
+	const rows, passes = 256, 4
+	chunk := v.StripeSectors()
+	rowSpan := 2 * chunk
+	data := make([]byte, chunk*disk.SectorSize)
+	for i := range data {
+		data[i] = byte(i*7 + 1)
+	}
+	for r := int64(0); r < rows; r++ {
+		v.WriteImage(r*rowSpan, data)
+		v.WriteImage(r*rowSpan+chunk, data)
+	}
+	var best *Parity
+	for rep := 0; rep < reps; rep++ {
+		runtime.GC()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		t0 := time.Now()
+		for pass := int64(0); pass < passes; pass++ {
+			for r := int64(0); r < rows; r++ {
+				data[0] = byte(pass + r) // every write carries a fresh delta
+				v.WriteImage(r*rowSpan+(r+pass)%2*chunk, data)
+			}
+		}
+		host := time.Since(t0)
+		runtime.ReadMemStats(&m1)
+		bytes := int64(rows*passes) * int64(len(data))
+		cur := &Parity{
+			Bytes:      bytes,
+			HostNs:     host.Nanoseconds(),
+			MBPerSec:   float64(bytes) / (1 << 20) / host.Seconds(),
+			Allocs:     m1.Mallocs - m0.Mallocs,
+			AllocBytes: m1.TotalAlloc - m0.TotalAlloc,
+		}
+		if best == nil || cur.HostNs < best.HostNs {
+			best = cur
+		}
+	}
+	if n, err := v.CheckParity(); n > 0 {
+		fatal(fmt.Errorf("parity: %d bad spans after the fold: %v", n, err))
 	}
 	return best
 }

@@ -140,6 +140,9 @@ type Engine struct {
 	// (0 = an armed-but-empty window); nil (and nil-safe) until
 	// AttachTelemetry.
 	raWindow *telemetry.Histogram
+
+	// xfers recycles the data path's transfer buffers (see xferPool).
+	xfers xferPool
 }
 
 // AttachTelemetry registers the engine's counters and connects it to
@@ -185,7 +188,8 @@ func NewEngine(s *sim.Sim, cpuModel *cpu.Model, vmSys *vm.VM, fs *ufs.Fs, cfg Co
 	if cfg.FreeBehindMin == 0 {
 		cfg.FreeBehindMin = 128 << 10
 	}
-	return &Engine{Sim: s, CPU: cpuModel, VM: vmSys, FS: fs, Cfg: cfg, vnodes: make(map[int32]*Vnode)}
+	return &Engine{Sim: s, CPU: cpuModel, VM: vmSys, FS: fs, Cfg: cfg, vnodes: make(map[int32]*Vnode),
+		xfers: xferPool{bsize: int(fs.SB.Bsize)}}
 }
 
 // maxClusterBlocks returns the effective cluster size in blocks.

@@ -371,7 +371,7 @@ func (e *Engine) startReadTagged(p *sim.Proc, vn *Vnode, lbn int64, fsbn int32, 
 		// completion (the hardware would use a page list; the copy in
 		// the handler is simulation bookkeeping with no simulated
 		// cost).
-		xfer := make([]byte, bytes)
+		xfer := e.xfers.get(bytes)
 		e.Stats.ReadBlocks += int64(len(pages))
 		pgs, szs := pages, sizes
 		e.FS.Drv.Strategy(p, &driver.Buf{
@@ -391,6 +391,7 @@ func (e *Engine) startReadTagged(p *sim.Proc, vn *Vnode, lbn int64, fsbn int32, 
 						pg.ClearDirty()
 						pg.Unbusy()
 					}
+					e.xfers.put(xfer)
 					return
 				}
 				off := 0
@@ -404,6 +405,7 @@ func (e *Engine) startReadTagged(p *sim.Proc, vn *Vnode, lbn int64, fsbn int32, 
 					pg.ClearDirty()
 					pg.Unbusy()
 				}
+				e.xfers.put(xfer)
 			},
 		})
 		pages, sizes, bytes, runStart = nil, nil, 0, -1

@@ -126,7 +126,7 @@ func (e *Engine) push(p *sim.Proc, vn *Vnode, off, length int64, limit bool) {
 			continue
 		}
 
-		xfer := make([]byte, bytes)
+		xfer := e.xfers.get(bytes)
 		o := 0
 		for i, q := range pages {
 			copy(xfer[o:], q.Data[:sizes[i]])
@@ -161,6 +161,7 @@ func (e *Engine) push(p *sim.Proc, vn *Vnode, off, length int64, limit bool) {
 					// their dirty bits — repushing would only refail.
 					vn.recordErr(b.Err)
 				}
+				e.xfers.put(xfer)
 				for _, q := range pgs {
 					q.ClearDirty()
 					q.Unbusy()

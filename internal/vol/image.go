@@ -124,9 +124,10 @@ func (v *Volume) writeImageRow(row, lo, cnt, sector int64, data []byte) {
 		}
 
 	case cnt == rowSpan:
-		parity := make([]byte, cb)
 		base := (lo - sector) * disk.SectorSize
-		for d := int64(0); d < dpr; d++ {
+		parity := v.getChunk(cb)
+		copy(parity, data[base:base+cb])
+		for d := int64(1); d < dpr; d++ {
 			xorInto(parity, data[base+d*cb:base+(d+1)*cb])
 		}
 		for _, p := range pieces {
@@ -136,23 +137,25 @@ func (v *Volume) writeImageRow(row, lo, cnt, sector int64, data []byte) {
 			v.members[p.member].WriteImage(p.msec, data[p.boff:p.boff+p.n*disk.SectorSize])
 		}
 		v.members[pm].WriteImage(row*v.ss, parity)
+		v.putChunk(parity)
 
 	case fi < 0:
 		uo, un := v.rowUnion(row, pieces)
-		newP := make([]byte, un*disk.SectorSize)
+		newP := v.getChunk(un * disk.SectorSize)
 		v.members[pm].ReadImage(row*v.ss+uo, newP)
-		old := make([]byte, 0, un*disk.SectorSize)
+		old := v.getChunk(cb)
 		for _, p := range pieces {
-			old = old[:p.n*disk.SectorSize]
-			v.members[p.member].ReadImage(p.msec, old)
+			od := old[:p.n*disk.SectorSize]
+			v.members[p.member].ReadImage(p.msec, od)
 			nd := data[p.boff : p.boff+p.n*disk.SectorSize]
 			po := (p.msec - row*v.ss - uo) * disk.SectorSize
-			for j := range nd {
-				newP[po+int64(j)] ^= old[j] ^ nd[j]
-			}
+			xorInto(od, nd)
+			xorInto(newP[po:], od)
 			v.members[p.member].WriteImage(p.msec, nd)
 		}
 		v.members[pm].WriteImage(row*v.ss+uo, newP)
+		v.putChunk(old)
+		v.putChunk(newP)
 
 	default:
 		// Dead data member: reconstruct the whole old row, overlay, and

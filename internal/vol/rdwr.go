@@ -542,9 +542,10 @@ func (v *Volume) writeRow(q *volReq, row, lo, cnt int64) {
 	case full:
 		// Whole row present in the request: parity is the XOR of the
 		// new data, no reads needed even when a data member is dead.
-		parity := make([]byte, cb)
 		base := (lo - q.r.Sector) * disk.SectorSize
-		for d := int64(0); d < dpr; d++ {
+		parity := v.getChunk(cb)
+		copy(parity, q.r.Data[base:base+cb])
+		for d := int64(1); d < dpr; d++ {
 			xorInto(parity, q.r.Data[base+d*cb:base+(d+1)*cb])
 		}
 		if fi >= 0 {
@@ -558,7 +559,7 @@ func (v *Volume) writeRow(q *volReq, row, lo, cnt int64) {
 			}
 			v.subIO(q, p.member, p.msec, q.r.Data[p.boff:p.boff+p.n*disk.SectorSize], true, nil)
 		}
-		v.subIO(q, pm, row*v.ss, parity, true, nil)
+		v.subIO(q, pm, row*v.ss, parity, true, func(error) { v.putChunk(parity) })
 
 	case fi < 0:
 		v.rmwRow(q, row, pieces)
@@ -585,7 +586,10 @@ func (v *Volume) rowUnion(row int64, pieces []piece) (uo, un int64) {
 }
 
 // rmwRow is the healthy partial-row write: read old data and old
-// parity, fold the deltas, write new data and new parity.
+// parity, fold the deltas, write new data and new parity. The phase-one
+// buffers come from the volume's scratch list: the old data goes back
+// once folded (or once the last read has failed), the parity buffer in
+// the completion of the parity write that carries it.
 func (v *Volume) rmwRow(q *volReq, row int64, pieces []piece) {
 	v.Stats.ParityRMWRows++
 	v.bus.Emit(telemetry.Event{
@@ -597,7 +601,7 @@ func (v *Volume) rmwRow(q *volReq, row int64, pieces []piece) {
 	pm := v.parityMember(row)
 	uo, un := v.rowUnion(row, pieces)
 	oldD := make([][]byte, len(pieces))
-	oldP := make([]byte, un*disk.SectorSize)
+	oldP := v.getChunk(un * disk.SectorSize)
 	rem := len(pieces) + 1
 	data := q.r.Data
 
@@ -605,25 +609,31 @@ func (v *Volume) rmwRow(q *volReq, row int64, pieces []piece) {
 		// Runs inside the final phase-one completion, which still holds
 		// one pending slot on q, so the writes issued here cannot race
 		// the request's retirement.
-		if rem--; rem > 0 || err != nil || q.err != nil {
+		if rem--; rem > 0 {
 			return
 		}
-		newP := oldP
+		if err != nil || q.err != nil {
+			for _, b := range oldD {
+				v.putChunk(b)
+			}
+			v.putChunk(oldP)
+			return
+		}
 		for i, p := range pieces {
 			nd := data[p.boff : p.boff+p.n*disk.SectorSize]
 			po := (p.msec - row*v.ss - uo) * disk.SectorSize
-			for j := range nd {
-				newP[po+int64(j)] ^= oldD[i][j] ^ nd[j]
-			}
+			xorInto(oldD[i], nd)
+			xorInto(oldP[po:], oldD[i])
+			v.putChunk(oldD[i])
 		}
 		for _, p := range pieces {
 			v.subIO(q, p.member, p.msec, data[p.boff:p.boff+p.n*disk.SectorSize], true, nil)
 		}
-		v.subIO(q, pm, row*v.ss+uo, newP, true, nil)
+		v.subIO(q, pm, row*v.ss+uo, oldP, true, func(error) { v.putChunk(oldP) })
 	}
 
 	for i, p := range pieces {
-		oldD[i] = make([]byte, p.n*disk.SectorSize)
+		oldD[i] = v.getChunk(p.n * disk.SectorSize)
 		v.subIO(q, p.member, p.msec, oldD[i], false, phase2)
 	}
 	v.subIO(q, pm, row*v.ss+uo, oldP, false, phase2)
@@ -688,13 +698,5 @@ func (v *Volume) degradedRMWRow(q *volReq, row int64, pieces []piece, fi int) {
 		}
 		old[m] = make([]byte, cb)
 		v.subIO(q, m, row*v.ss, old[m], false, phase2)
-	}
-}
-
-// xorInto folds src into dst byte-wise; len(src) must not exceed
-// len(dst).
-func xorInto(dst, src []byte) {
-	for i, b := range src {
-		dst[i] ^= b
 	}
 }

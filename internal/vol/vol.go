@@ -127,8 +127,8 @@ type Volume struct {
 	s       *sim.Sim
 	members []*disk.Disk
 	failed  []bool
-	ss      int64 // stripe unit in sectors (striped levels)
-	msize   int64 // per-member capacity in sectors
+	ss      int64   // stripe unit in sectors (striped levels)
+	msize   int64   // per-member capacity in sectors
 	cum     []int64 // concat: cumulative member start sectors, len N+1
 	geom    *disk.Geometry
 	rr      int // RAID-1 read rotor over healthy members
@@ -137,6 +137,10 @@ type Volume struct {
 	// holder, rowWait queues parked acquisitions (see acquireRows).
 	rowBusy map[int64]bool
 	rowWait map[int64][]*volReq
+
+	// scratch is the free list of chunk-sized (ss*SectorSize) buffers
+	// the RAID-5 parity path borrows through getChunk and putChunk.
+	scratch [][]byte
 
 	Stats Stats
 

@@ -6,8 +6,9 @@
 # scaling, the telemetry bus's zero-subscriber Emit overhead, and the
 # adaptive read-ahead policy's decision cost) plus one offline recovery
 # (ufs.Repair then ufs.Fsck of a fixed crash image: host ns, allocs,
-# bytes, sectors read), writing the report to BENCH_sim.json at the
-# repo root. Then builds cmd/iobench and runs `iobench -matrix`, which
+# bytes, sectors read) and the RAID-5 parity fold (offline
+# read-modify-write of 32 KB chunks: MB/s, allocs, bytes), writing the
+# report to BENCH_sim.json at the repo root. Then builds cmd/iobench and runs `iobench -matrix`, which
 # writes every feature comparison matrix from one table
 # (cmd/iobench/matrix.go) to BENCH_iobench.json: the read-ahead policy
 # matrix (policy x {FSR, FRR, FMX} under memory pressure, with prefetch
@@ -29,7 +30,8 @@
 # this tree's cmd/simbench/main.go if the old one predates the recovery
 # workload), run it with `-baseline BENCH_sim.json -o old.json`, copy
 # old.json over BENCH_sim.json without its recovery_baseline, and run
-# this script on the new tree right after, on the same host.
+# this script on the new tree right after, on the same host. The parity
+# baseline (parity_baseline) is carried and re-anchored the same way.
 #
 # Usage: scripts/bench.sh [extra simbench flags]
 #   e.g. scripts/bench.sh -reps 12
