@@ -3,7 +3,6 @@ package ufs
 import (
 	"fmt"
 
-	"ufsclust/internal/detsort"
 	"ufsclust/internal/disk"
 )
 
@@ -19,358 +18,82 @@ type FsckReport struct {
 // Clean reports whether no problems were found.
 func (r *FsckReport) Clean() bool { return len(r.Problems) == 0 }
 
-func (r *FsckReport) addf(format string, args ...any) {
-	r.Problems = append(r.Problems, fmt.Sprintf(format, args...))
-}
-
-// Fsck checks the file system on d's image: superblock sanity, inode
-// block accounting, duplicate and out-of-range block references,
-// directory structure and link counts, bitmap consistency, and summary
-// totals. It is how the repository demonstrates the paper's headline
-// constraint — the clustered engine leaves images byte-compatible with
-// the legacy one.
+// Fsck checks the file system on d's image against the rules Repair
+// enforces (offline.go) — inode fields, block pointers, directory
+// structure and link counts — and then checks the bitmaps, group
+// counts and superblock totals against what the inodes claim. It is
+// how the repository demonstrates the paper's headline constraint: the
+// clustered engine leaves images byte-compatible with the legacy one.
 func Fsck(d disk.Device) (*FsckReport, error) {
-	r := &FsckReport{}
 	sb, err := ReadSuperblock(d)
 	if err != nil {
 		return nil, err
 	}
-
-	// Shadow fragment map: 0 free, 1 metadata, 2 data.
-	shadow := make([]byte, sb.Size)
-	markMeta := func(fsbn, n int32, what string) {
-		for i := fsbn; i < fsbn+n; i++ {
-			if i < 0 || i >= sb.Size {
-				r.addf("%s: fragment %d out of range", what, i)
-				return
-			}
-			shadow[i] = 1
-		}
+	if err := checkGeometry(sb, d); err != nil {
+		return nil, err
 	}
-	for cgx := int32(0); cgx < sb.Ncg; cgx++ {
-		markMeta(sb.CgBase(cgx), sb.MetaFrags(), "group metadata")
-	}
-
-	readBlk := func(fsbn int32) []byte {
-		buf := make([]byte, sb.Bsize)
-		d.ReadImage(sb.FsbToDb(fsbn), buf)
-		return buf
-	}
-
-	// claim marks a data fragment used by an inode.
-	claim := func(ino int32, fsbn, n int32) {
-		for i := fsbn; i < fsbn+n; i++ {
-			if i < 0 || i >= sb.Size {
-				r.addf("ino %d: fragment %d out of range", ino, i)
-				return
-			}
-			switch shadow[i] {
-			case 0:
-				shadow[i] = 2
-			case 1:
-				r.addf("ino %d: fragment %d overlaps metadata", ino, i)
-			default:
-				r.addf("ino %d: fragment %d multiply claimed", ino, i)
-			}
-		}
-	}
-
-	// Pass 1: inodes and block pointers.
-	nindir := sb.NindirPerBlock()
-	type inodeInfo struct {
-		di    Dinode
-		links int16 // directory references found in pass 2
-	}
-	inodes := make(map[int32]*inodeInfo)
-	itab := newInodeScan(d, sb)
-	for ino := int32(0); ino < sb.Ncg*sb.Ipg; ino++ {
-		di := itab.dinode(ino)
-		if !di.Allocated() {
-			continue
-		}
-		if ino < RootIno {
-			r.addf("reserved inode %d is allocated", ino)
-			continue
-		}
-		switch di.Mode & ModeFmt {
+	p := newPass(d, sb, false)
+	p.load(nil)
+	r := &FsckReport{}
+	for _, ino := range p.live() {
+		switch p.inodes[ino].Mode & ModeFmt {
 		case ModeReg:
 			r.Files++
 		case ModeDir:
 			r.Dirs++
-		case ModeLink:
-		default:
-			r.addf("ino %d: unknown mode %#x", ino, di.Mode)
-			continue
-		}
-		info := &inodeInfo{di: di}
-		inodes[ino] = info
-
-		if di.Mode&ModeFmt == ModeLink {
-			// Fast symlink: the pointer area holds the target string,
-			// not block addresses; it owns no fragments.
-			if di.Blocks != 0 {
-				r.addf("symlink ino %d claims %d fragments", ino, di.Blocks)
-			}
-			continue
-		}
-
-		nblocks := (di.Size + int64(sb.Bsize) - 1) / int64(sb.Bsize)
-		var frags int32
-		countData := func(lbn int64, fsbn int32) {
-			n := sb.Frag
-			if lbn < NDADDR {
-				if f := int32(sb.BlkSize(di.Size, lbn)) / sb.Fsize; f > 0 {
-					n = f
-				}
-			}
-			claim(ino, fsbn, n)
-			frags += n
-		}
-		for lbn := int64(0); lbn < NDADDR && lbn < nblocks; lbn++ {
-			if di.DB[lbn] != 0 {
-				countData(lbn, di.DB[lbn])
-			}
-		}
-		if di.IB[0] != 0 {
-			claim(ino, di.IB[0], sb.Frag)
-			frags += sb.Frag
-			ib := readBlk(di.IB[0])
-			for i := int64(0); i < nindir && NDADDR+i < nblocks; i++ {
-				if a := getIndir(ib, i); a != 0 {
-					countData(NDADDR+i, a)
-				}
-			}
-		}
-		if di.IB[1] != 0 {
-			claim(ino, di.IB[1], sb.Frag)
-			frags += sb.Frag
-			ib1 := readBlk(di.IB[1])
-			for i := int64(0); i < nindir; i++ {
-				l2 := getIndir(ib1, i)
-				if l2 == 0 {
-					continue
-				}
-				claim(ino, l2, sb.Frag)
-				frags += sb.Frag
-				ib2 := readBlk(l2)
-				for j := int64(0); j < nindir; j++ {
-					lbn := NDADDR + nindir + i*nindir + j
-					if a := getIndir(ib2, j); a != 0 {
-						if lbn >= nblocks {
-							r.addf("ino %d: block %d beyond size %d", ino, lbn, di.Size)
-						}
-						countData(lbn, a)
-					}
-				}
-			}
-		}
-		if frags != di.Blocks {
-			r.addf("ino %d: holds %d fragments but di_blocks says %d", ino, frags, di.Blocks)
 		}
 	}
+	p.claimAll(true)
+	p.walkDirs()
 
-	// Pass 2: directory structure from the root.
-	if ri, ok := inodes[RootIno]; !ok || !ri.di.IsDir() {
-		r.addf("root inode missing or not a directory")
-		return r, nil
-	}
-	var walk func(ino int32, parent int32, depth int)
-	visited := make(map[int32]bool)
-	walk = func(ino, parent int32, depth int) {
-		if depth > 64 {
-			r.addf("directory nesting too deep at ino %d", ino)
-			return
-		}
-		if visited[ino] {
-			r.addf("directory ino %d reached twice", ino)
-			return
-		}
-		visited[ino] = true
-		info := inodes[ino]
-		di := info.di
-		if di.Size%int64(sb.Bsize) != 0 {
-			r.addf("dir ino %d: size %d not a block multiple", ino, di.Size)
-		}
-		nblocks := di.Size / int64(sb.Bsize)
-		sawDot, sawDotDot := false, false
-		var ib []byte // the single-indirect block, read on first use
-		for lbn := int64(0); lbn < nblocks; lbn++ {
-			var fsbn int32
-			if lbn < NDADDR {
-				fsbn = di.DB[lbn]
-			} else if di.IB[0] != 0 && lbn-NDADDR < nindir {
-				if ib == nil {
-					ib = readBlk(di.IB[0])
-				}
-				fsbn = getIndir(ib, lbn-NDADDR)
-			}
-			if fsbn == 0 {
-				r.addf("dir ino %d: hole at block %d", ino, lbn)
-				continue
-			}
-			ents, err := parseDirents(readBlk(fsbn))
-			if err != nil {
-				r.addf("dir ino %d block %d: %v", ino, lbn, err)
-				continue
-			}
-			for _, e := range ents {
-				if e.Ino == 0 {
-					continue
-				}
-				ti, ok := inodes[e.Ino]
-				if !ok {
-					r.addf("dir ino %d: entry %q points to unallocated ino %d", ino, e.Name, e.Ino)
-					continue
-				}
-				switch e.Name {
-				case ".":
-					sawDot = true
-					if e.Ino != ino {
-						r.addf("dir ino %d: \".\" points to %d", ino, e.Ino)
-					}
-					ti.links++
-				case "..":
-					sawDotDot = true
-					if e.Ino != parent {
-						r.addf("dir ino %d: \"..\" points to %d, want %d", ino, e.Ino, parent)
-					}
-					ti.links++
-				default:
-					ti.links++
-					if ti.di.IsDir() {
-						walk(e.Ino, ino, depth+1)
-					}
-				}
-			}
-		}
-		if !sawDot || !sawDotDot {
-			r.addf("dir ino %d: missing \".\" or \"..\"", ino)
+	addf := func(format string, args ...any) { p.log = append(p.log, fmt.Sprintf(format, args...)) }
+	count := func(where, what string, got, want int32) {
+		if got != want {
+			addf("%s: %s %d, counted %d", where, what, got, want)
 		}
 	}
-	walk(RootIno, RootIno, 0)
-
-	// Walk inodes in ascending order so the report is byte-stable: a
-	// map-order walk here would shuffle problem lines between runs.
-	for _, ino := range detsort.Keys(inodes) {
-		info := inodes[ino]
-		if info.links != info.di.Nlink {
-			r.addf("ino %d: link count %d, found %d references", ino, info.di.Nlink, info.links)
-		}
-		if info.di.IsDir() && !visited[ino] {
-			r.addf("orphan directory ino %d", ino)
-		}
-	}
-
-	// Pass 3: bitmaps and summaries.
-	var nbfree, nffree, nifree, ndir int32
-	for cgx := int32(0); cgx < sb.Ncg; cgx++ {
-		raw := readBlk(sb.CgHeader(cgx))
-		cg, err := UnmarshalCG(sb, raw)
+	cgs, want := p.recount()
+	for cgx, w := range cgs {
+		p.read(sb.CgHeader(int32(cgx)), p.blk)
+		cg, err := UnmarshalCG(sb, p.blk)
 		if err != nil {
-			r.addf("cg %d: %v", cgx, err)
+			addf("cg %d: %v", cgx, err)
 			continue
 		}
-		base := sb.CgBase(cgx)
-		var cgNb, cgNf, cgNi int32
+		base := sb.CgBase(int32(cgx))
 		for f := int32(0); f < sb.Fpg; f++ {
-			free := cg.FragFree(f)
-			used := shadow[base+f] != 0
-			if free && used {
-				r.addf("cg %d: fragment %d free in bitmap but in use", cgx, base+f)
-			}
-			if !free && !used {
-				r.addf("cg %d: fragment %d allocated in bitmap but unreferenced", cgx, base+f)
-			}
-			if used {
-				r.UsedFrags++
-			} else {
-				r.FreeFrags++
-			}
-		}
-		for f := int32(0); f+sb.Frag <= sb.Fpg; f += sb.Frag {
-			if cg.BlockFree(f, sb.Frag) {
-				cgNb++
-			} else {
-				for i := int32(0); i < sb.Frag; i++ {
-					if cg.FragFree(f + i) {
-						cgNf++
-					}
-				}
+			switch free := cg.FragFree(f); {
+			case free && !w.FragFree(f):
+				addf("cg %d: fragment %d free in bitmap but in use", cgx, base+f)
+			case !free && w.FragFree(f):
+				addf("cg %d: fragment %d allocated in bitmap but unreferenced", cgx, base+f)
 			}
 		}
 		for i := int32(0); i < sb.Ipg; i++ {
-			ino := cgx*sb.Ipg + i
-			used := cg.InodeUsed(i)
-			_, allocated := inodes[ino]
-			if ino < RootIno {
-				allocated = true // reserved inodes are marked used
-			}
-			if used && !allocated {
-				r.addf("cg %d: inode %d marked used but unallocated", cgx, ino)
-			}
-			if !used && allocated {
-				r.addf("cg %d: inode %d allocated but marked free", cgx, ino)
-			}
-			if !used {
-				cgNi++
+			switch used := cg.InodeUsed(i); {
+			case used && !w.InodeUsed(i):
+				addf("cg %d: inode %d marked used but unallocated", cgx, int32(cgx)*sb.Ipg+i)
+			case !used && w.InodeUsed(i):
+				addf("cg %d: inode %d allocated but marked free", cgx, int32(cgx)*sb.Ipg+i)
 			}
 		}
-		if cgNb != cg.Nbfree {
-			r.addf("cg %d: nbfree %d, counted %d", cgx, cg.Nbfree, cgNb)
+		where := fmt.Sprintf("cg %d", cgx)
+		count(where, "nbfree", cg.Nbfree, w.Nbfree)
+		count(where, "nffree", cg.Nffree, w.Nffree)
+		count(where, "nifree", cg.Nifree, w.Nifree)
+		count(where, "ndir", cg.Ndir, w.Ndir)
+	}
+	count("superblock", "nbfree", sb.CsNbfree, want.nbfree)
+	count("superblock", "nffree", sb.CsNffree, want.nffree)
+	count("superblock", "nifree", sb.CsNifree, want.nifree)
+	count("superblock", "ndir", sb.CsNdir, want.ndir)
+	for _, f := range p.frags {
+		if f == fragFree {
+			r.FreeFrags++
+		} else {
+			r.UsedFrags++
 		}
-		if cgNf != cg.Nffree {
-			r.addf("cg %d: nffree %d, counted %d", cgx, cg.Nffree, cgNf)
-		}
-		if cgNi != cg.Nifree {
-			r.addf("cg %d: nifree %d, counted %d", cgx, cg.Nifree, cgNi)
-		}
-		nbfree += cgNb
-		nffree += cgNf
-		nifree += cgNi
-		ndir += cg.Ndir
 	}
-	if nbfree != sb.CsNbfree {
-		r.addf("superblock: nbfree %d, counted %d", sb.CsNbfree, nbfree)
-	}
-	if nffree != sb.CsNffree {
-		r.addf("superblock: nffree %d, counted %d", sb.CsNffree, nffree)
-	}
-	if nifree != sb.CsNifree {
-		r.addf("superblock: nifree %d, counted %d", sb.CsNifree, nifree)
-	}
-	if ndir != sb.CsNdir {
-		r.addf("superblock: ndir %d, counted %d", sb.CsNdir, ndir)
-	}
-	if int32(r.Dirs) != ndir {
-		r.addf("directory count %d != cg ndir total %d", r.Dirs, ndir)
-	}
+	r.Problems = p.log
 	return r, nil
-}
-
-// inodeScan reads dinodes in inode order for the offline passes. It
-// keeps the last inode block it read and rereads only when the block
-// address changes, so a full-table scan reads each inode block once
-// instead of once per inode. Keying on the address rather than on
-// ino % InodesPerBlock keeps a scan correct on a corrupt superblock
-// whose Ipg is not a multiple of the inodes per block.
-type inodeScan struct {
-	d      disk.Device
-	sb     *Superblock
-	blk    []byte
-	fsba   int32
-	loaded bool
-}
-
-func newInodeScan(d disk.Device, sb *Superblock) *inodeScan {
-	return &inodeScan{d: d, sb: sb, blk: make([]byte, sb.Bsize)}
-}
-
-// dinode returns inode ino as stored on disk.
-func (s *inodeScan) dinode(ino int32) Dinode {
-	if fsba := s.sb.InoToFsba(ino); !s.loaded || fsba != s.fsba {
-		s.d.ReadImage(s.sb.FsbToDb(fsba), s.blk)
-		s.fsba, s.loaded = fsba, true
-	}
-	off := s.sb.InoBlockOff(ino)
-	return UnmarshalDinode(s.blk[off : off+DinodeSize])
 }

@@ -3,6 +3,8 @@ package ufs
 import (
 	"bytes"
 	"testing"
+
+	"ufsclust/internal/disk"
 )
 
 // Native fuzz targets for the on-disk decoders. Each must survive any
@@ -88,6 +90,55 @@ func FuzzParseDirents(f *testing.F) {
 		}
 		if off != len(data) {
 			t.Fatalf("entries cover %d of %d bytes", off, len(data))
+		}
+	})
+}
+
+// FuzzRepair runs Repair over mutations of the shared offline image.
+// The input is read as 4-byte edits: which block of the image to hit
+// (the primary superblock, group headers, the inode blocks in use,
+// directory and indirect blocks), a 2-byte offset into it and the byte
+// to store there. Repair must not panic, its repaired image must pass
+// Fsck, a second Repair must change nothing, and an input Fsck calls
+// clean must get no fix.
+func FuzzRepair(f *testing.F) {
+	o := sharedOfflineImage(f)
+	targets := o.targets(f)
+	f.Add([]byte{})
+	f.Add([]byte{2, 0x30, 0, 0xff})
+	f.Fuzz(func(t *testing.T, edits []byte) {
+		d, _ := o.fresh(t)
+		sector := make([]byte, disk.SectorSize)
+		for ; len(edits) >= 4; edits = edits[4:] {
+			tg := targets[int(edits[0])%len(targets)]
+			off := (int(edits[1]) | int(edits[2])<<8) % tg.size
+			at := o.sb.FsbToDb(tg.fsbn) + int64(off/disk.SectorSize)
+			d.ReadImage(at, sector)
+			sector[off%disk.SectorSize] = edits[3]
+			d.WriteImage(at, sector)
+		}
+		chk, err := Fsck(d)
+		inputClean := err == nil && chk.Clean()
+		rep, err := Repair(d)
+		if err != nil {
+			t.Fatalf("repair: %v", err)
+		}
+		if !rep.Clean() {
+			t.Fatalf("repaired image not clean: %v\nfixes: %v", rep.Check.Problems, rep.Fixes)
+		}
+		if inputClean && len(rep.Fixes) != 0 {
+			t.Fatalf("fsck-clean input got fixes: %v", rep.Fixes)
+		}
+		img := imageSHA(t, d)
+		again, err := Repair(d)
+		if err != nil {
+			t.Fatalf("second repair: %v", err)
+		}
+		if len(again.Fixes) != 0 {
+			t.Fatalf("second repair applied fixes: %v\nfirst: %v", again.Fixes, rep.Fixes)
+		}
+		if imageSHA(t, d) != img {
+			t.Fatalf("second repair changed the image; first fixes: %v", rep.Fixes)
 		}
 	})
 }

@@ -30,50 +30,40 @@ type RepairReport struct {
 // Clean reports whether the repaired image passed its final check.
 func (r *RepairReport) Clean() bool { return r.Check != nil && r.Check.Clean() }
 
-func (r *RepairReport) fixf(format string, args ...any) {
-	r.Fixes = append(r.Fixes, fmt.Sprintf(format, args...))
-}
-
-// repairer carries the working state of one Repair run.
-type repairer struct {
-	d      disk.Device
-	sb     *Superblock
-	r      *RepairReport
-	dinode []Dinode // indexed by ino; cleared entries are the zero value
-	owner  []int32  // fragment -> claiming ino; 0 free, -1 metadata
-}
-
-const metaOwner = int32(-1)
-
 // Repair fixes the file system on d's image in place and returns what
 // it did. It fails only when no superblock can be recovered; every
 // other inconsistency is repaired, destructively if necessary (an
 // unreachable or structurally hopeless inode is cleared, a duplicate
-// block claim is resolved in favor of the lower-numbered inode).
+// block claim is resolved in favor of the lower-numbered inode). The
+// rules it enforces are Fsck's (offline.go); bitmaps, group headers
+// and superblock totals are then rebuilt from the surviving inodes.
 func Repair(d disk.Device) (*RepairReport, error) {
-	rep := &RepairReport{}
 	sb, err := ReadSuperblock(d)
-	if err != nil {
-		sb, err = findAltSuperblock(d)
-		if err != nil {
+	if err == nil {
+		err = checkGeometry(sb, d)
+	}
+	restored := err != nil
+	if restored {
+		if sb, err = findAltSuperblock(d); err != nil {
 			return nil, fmt.Errorf("ufs: repair: no usable superblock: %w", err)
 		}
-		rep.fixf("superblock: primary unreadable, restored from a backup copy")
 	}
-	rp := &repairer{d: d, sb: sb, r: rep}
+	p := newPass(d, sb, true)
+	if restored {
+		p.log = append(p.log, "superblock: primary unreadable, restored from a backup copy")
+	}
+	table := make([]Dinode, sb.Ncg*sb.Ipg)
+	p.load(table)
+	p.claimAll(false)
+	p.ensureRoot()
+	p.walkDirs()
+	p.claimAll(true) // final claim sweep: fixes di_blocks, maps the survivors
+	p.writeBack(table)
 
-	rp.loadInodes()
-	rp.sanitizeInodes()
-	rp.fixPointers()
-	rp.ensureRoot()
-	rp.walkDirectories()
-	rp.rebuildMaps()
-
-	check, err := Fsck(d)
-	if err != nil {
+	rep := &RepairReport{Fixes: p.log}
+	if rep.Check, err = Fsck(d); err != nil {
 		return rep, err
 	}
-	rep.Check = check
 	return rep, nil
 }
 
@@ -87,13 +77,10 @@ func findAltSuperblock(d disk.Device) (*Superblock, error) {
 	for f := int64(0); f < totalFrags; f++ {
 		d.ReadImage(f*SBSize/disk.SectorSize, buf)
 		sb, err := UnmarshalSuperblock(buf)
-		if err != nil {
+		if err != nil || checkGeometry(sb, d) != nil {
 			continue
 		}
-		if int64(sb.Size)*int64(sb.Fsize) > d.Geom().TotalBytes() {
-			continue
-		}
-		if sb.Fpg <= 0 || f < sbFragOffset || (f-sbFragOffset)%int64(sb.Fpg) != 0 {
+		if f < sbFragOffset || (f-sbFragOffset)%int64(sb.Fpg) != 0 {
 			continue
 		}
 		return sb, nil
@@ -101,640 +88,105 @@ func findAltSuperblock(d disk.Device) (*Superblock, error) {
 	return nil, fmt.Errorf("ufs: no superblock copy found in %d fragments", totalFrags)
 }
 
-func (rp *repairer) readBlk(fsbn int32) []byte {
-	buf := make([]byte, rp.sb.Bsize)
-	rp.d.ReadImage(rp.sb.FsbToDb(fsbn), buf)
-	return buf
-}
-
-func (rp *repairer) writeBlk(fsbn int32, data []byte) {
-	rp.d.WriteImage(rp.sb.FsbToDb(fsbn), data)
-}
-
-// loadInodes reads every dinode into memory; all fixes operate on this
-// copy and rebuildMaps writes every inode block back.
-func (rp *repairer) loadInodes() {
-	sb := rp.sb
-	rp.dinode = make([]Dinode, sb.Ncg*sb.Ipg)
-	itab := newInodeScan(rp.d, sb)
-	for ino := range rp.dinode {
-		rp.dinode[ino] = itab.dinode(int32(ino))
-	}
-}
-
-// clear wipes an inode (and logs why).
-func (rp *repairer) clear(ino int32, why string) {
-	rp.dinode[ino] = Dinode{}
-	rp.r.fixf("ino %d: cleared (%s)", ino, why)
-}
-
-// sanitizeInodes drops inodes whose fixed fields are beyond salvage and
-// normalizes the ones worth keeping.
-func (rp *repairer) sanitizeInodes() {
-	sb := rp.sb
-	maxSize := sb.MaxFileBlocks() * int64(sb.Bsize)
-	for ino := range rp.dinode {
-		di := &rp.dinode[ino]
-		if !di.Allocated() {
-			continue
-		}
-		if int32(ino) < RootIno {
-			rp.clear(int32(ino), "reserved inode")
-			continue
-		}
-		switch di.Mode & ModeFmt {
-		case ModeReg, ModeDir, ModeLink:
-		default:
-			rp.clear(int32(ino), fmt.Sprintf("unknown mode %#x", di.Mode))
-			continue
-		}
-		if di.Size < 0 || di.Size > maxSize {
-			rp.clear(int32(ino), fmt.Sprintf("impossible size %d", di.Size))
-			continue
-		}
-		if di.Mode&ModeFmt == ModeLink && di.Blocks != 0 {
-			rp.r.fixf("ino %d: symlink claimed %d fragments, zeroed", ino, di.Blocks)
-			di.Blocks = 0
-		}
-		if di.IsDir() && di.Size%int64(sb.Bsize) != 0 {
-			fixed := di.Size / int64(sb.Bsize) * int64(sb.Bsize)
-			rp.r.fixf("ino %d: dir size %d not a block multiple, truncated to %d", ino, di.Size, fixed)
-			di.Size = fixed
-		}
-		if di.IsDir() && di.Size == 0 {
-			rp.clear(int32(ino), "directory with no blocks")
-		}
-	}
-}
-
-// rangeOK reports whether [fsbn, fsbn+n) lies entirely in some group's
-// data area.
-func (rp *repairer) rangeOK(fsbn, n int32) bool {
-	if fsbn <= 0 || fsbn+n > rp.sb.Size {
-		return false
-	}
-	for i := fsbn; i < fsbn+n; i++ {
-		if i%rp.sb.Fpg < rp.sb.MetaFrags() {
-			return false
-		}
-	}
-	return true
-}
-
-// claim records ino as the owner of [fsbn, fsbn+n); it fails without
-// side effects if any fragment is out of range, metadata, or already
-// owned.
-func (rp *repairer) claim(ino, fsbn, n int32) bool {
-	if !rp.rangeOK(fsbn, n) {
-		return false
-	}
-	for i := fsbn; i < fsbn+n; i++ {
-		if rp.owner[i] != 0 {
-			return false
-		}
-	}
-	for i := fsbn; i < fsbn+n; i++ {
-		rp.owner[i] = ino
-	}
-	return true
-}
-
-// newOwnerMap returns a fragment owner map with metadata pre-marked.
-func (rp *repairer) newOwnerMap() []int32 {
-	sb := rp.sb
-	owner := make([]int32, sb.Size)
-	for cgx := int32(0); cgx < sb.Ncg; cgx++ {
-		base := sb.CgBase(cgx)
-		for i := int32(0); i < sb.MetaFrags(); i++ {
-			owner[base+i] = metaOwner
-		}
-	}
-	return owner
-}
-
-// dataFrags returns how many fragments logical block lbn of a file of
-// the given size occupies.
-func (rp *repairer) dataFrags(size, lbn int64) int32 {
-	n := rp.sb.Frag
-	if lbn < NDADDR {
-		if f := int32(rp.sb.BlkSize(size, lbn)) / rp.sb.Fsize; f > 0 {
-			n = f
-		}
-	}
-	return n
-}
-
-// fixPointers walks every surviving inode's block pointers in ascending
-// inode order, zeroing the ones that are out of range, point into
-// metadata, duplicate an earlier claim, or lie beyond the file size.
-// Directories additionally may not contain holes: a directory is
-// truncated at its first missing block, and cleared outright if that
-// block is block 0.
-func (rp *repairer) fixPointers() {
-	sb := rp.sb
-	nindir := sb.NindirPerBlock()
-	rp.owner = rp.newOwnerMap()
-	for inoInt := range rp.dinode {
-		ino := int32(inoInt)
-		di := &rp.dinode[ino]
-		if !di.Allocated() || di.Mode&ModeFmt == ModeLink {
-			continue
-		}
-		nblocks := (di.Size + int64(sb.Bsize) - 1) / int64(sb.Bsize)
-		dirHole := int64(-1)
-
-		// checkData validates and claims the data block at lbn; on any
-		// problem it zeroes *pp and notes a directory hole.
-		checkData := func(lbn int64, pp *int32) {
-			fsbn := *pp
-			if fsbn == 0 {
-				if di.IsDir() && lbn < nblocks && (dirHole < 0 || lbn < dirHole) {
-					dirHole = lbn
-				}
-				return
-			}
-			if lbn >= nblocks {
-				rp.r.fixf("ino %d: zeroed block pointer %d beyond size %d", ino, lbn, di.Size)
-				*pp = 0
-				return
-			}
-			if !rp.claim(ino, fsbn, rp.dataFrags(di.Size, lbn)) {
-				rp.r.fixf("ino %d: zeroed bad or duplicate block pointer at lbn %d (fsbn %d)", ino, lbn, fsbn)
-				*pp = 0
-				if di.IsDir() && (dirHole < 0 || lbn < dirHole) {
-					dirHole = lbn
-				}
-			}
-		}
-
-		for lbn := int64(0); lbn < NDADDR; lbn++ {
-			checkData(lbn, &di.DB[lbn])
-		}
-		if di.IB[0] != 0 {
-			if nblocks <= NDADDR || !rp.claim(ino, di.IB[0], sb.Frag) {
-				rp.r.fixf("ino %d: zeroed bad indirect pointer IB[0] (fsbn %d)", ino, di.IB[0])
-				di.IB[0] = 0
-			} else {
-				ib := rp.readBlk(di.IB[0])
-				changed := false
-				for i := int64(0); i < nindir; i++ {
-					a := getIndir(ib, i)
-					if a == 0 && di.IsDir() && NDADDR+i < nblocks && (dirHole < 0 || NDADDR+i < dirHole) {
-						dirHole = NDADDR + i
-					}
-					if a == 0 {
-						continue
-					}
-					p := a
-					checkData(NDADDR+i, &p)
-					if p != a {
-						putIndir(ib, i, p)
-						changed = true
-					}
-				}
-				if changed {
-					rp.writeBlk(di.IB[0], ib)
-				}
-			}
-		}
-		if di.IB[1] != 0 {
-			if nblocks <= NDADDR+nindir || !rp.claim(ino, di.IB[1], sb.Frag) {
-				rp.r.fixf("ino %d: zeroed bad indirect pointer IB[1] (fsbn %d)", ino, di.IB[1])
-				di.IB[1] = 0
-			} else {
-				ib1 := rp.readBlk(di.IB[1])
-				l1changed := false
-				for i := int64(0); i < nindir; i++ {
-					l2 := getIndir(ib1, i)
-					if l2 == 0 {
-						continue
-					}
-					if NDADDR+nindir+i*nindir >= nblocks || !rp.claim(ino, l2, sb.Frag) {
-						rp.r.fixf("ino %d: zeroed bad second-level indirect pointer (fsbn %d)", ino, l2)
-						putIndir(ib1, i, 0)
-						l1changed = true
-						continue
-					}
-					ib2 := rp.readBlk(l2)
-					l2changed := false
-					for j := int64(0); j < nindir; j++ {
-						a := getIndir(ib2, j)
-						if a == 0 {
-							continue
-						}
-						p := a
-						checkData(NDADDR+nindir+i*nindir+j, &p)
-						if p != a {
-							putIndir(ib2, j, p)
-							l2changed = true
-						}
-					}
-					if l2changed {
-						rp.writeBlk(l2, ib2)
-					}
-				}
-				if l1changed {
-					rp.writeBlk(di.IB[1], ib1)
-				}
-			}
-		}
-
-		if di.IsDir() && dirHole >= 0 {
-			if dirHole == 0 {
-				rp.clear(ino, "directory lost its first block")
-				continue
-			}
-			rp.r.fixf("ino %d: directory has a hole at block %d, truncated from %d to %d bytes",
-				ino, dirHole, di.Size, dirHole*int64(sb.Bsize))
-			di.Size = dirHole * int64(sb.Bsize)
-			// Pointers past the hole (already claimed above) become
-			// beyond-size; the final claim sweep in rebuildMaps drops
-			// them, so just zero them here.
-			rp.zeroFrom(di, dirHole)
-		}
-	}
-}
-
-// zeroFrom zeroes every block pointer of di at logical block >= from.
-func (rp *repairer) zeroFrom(di *Dinode, from int64) {
-	sb := rp.sb
-	nindir := sb.NindirPerBlock()
-	for lbn := from; lbn < NDADDR; lbn++ {
-		di.DB[lbn] = 0
-	}
-	if di.IB[0] != 0 {
-		if from <= NDADDR {
-			di.IB[0] = 0
-		} else {
-			ib := rp.readBlk(di.IB[0])
-			changed := false
-			for i := from - NDADDR; i < nindir; i++ {
-				if getIndir(ib, i) != 0 {
-					putIndir(ib, i, 0)
-					changed = true
-				}
-			}
-			if changed {
-				rp.writeBlk(di.IB[0], ib)
-			}
-		}
-	}
-	if di.IB[1] != 0 && from <= NDADDR+nindir {
-		// Directories never grow into double-indirect range in this
-		// repository's workloads; a hole before that range just drops
-		// the whole subtree.
-		di.IB[1] = 0
-	}
-}
-
 // ensureRoot guarantees a usable root directory, rebuilding an empty
 // one from a free block when the original is gone. Everything that hung
 // off a lost root becomes unreachable and is cleared by the walk.
-func (rp *repairer) ensureRoot() {
-	sb := rp.sb
-	di := &rp.dinode[RootIno]
-	if di.IsDir() && di.DB[0] != 0 {
+func (p *pass) ensureRoot() {
+	sb := p.sb
+	if root := p.inodes[RootIno]; root != nil && root.IsDir() && root.DB[0] != 0 {
 		return
 	}
-	fsbn := rp.findFreeBlock()
+	fsbn := p.findFreeBlock()
 	if fsbn == 0 {
 		// A full disk with no root is unrecoverable space-wise; leave
 		// the problem for the final Fsck to report.
-		rp.r.fixf("root inode unusable and no free block to rebuild it")
+		p.log = append(p.log, "root inode unusable and no free block to rebuild it")
 		return
 	}
-	rp.owner[fsbn] = RootIno
-	for i := int32(1); i < sb.Frag; i++ {
-		rp.owner[fsbn+i] = RootIno
-	}
-	blk := make([]byte, sb.Bsize)
-	n := putDirent(blk, RootIno, ".")
-	putDirentLast(blk[n:], RootIno, "..", int(sb.Bsize)-n)
-	rp.writeBlk(fsbn, blk)
-	*di = Dinode{Mode: ModeDir | 0o755, Nlink: 2, Size: int64(sb.Bsize), Blocks: sb.Frag}
-	di.DB[0] = fsbn
-	rp.r.fixf("root directory rebuilt empty at fsbn %d", fsbn)
+	p.frags.mark(fsbn, sb.Frag, fragData)
+	p.writeDirBlock(fsbn, []Dirent{{Ino: RootIno, Name: "."}, {Ino: RootIno, Name: ".."}})
+	root := &offInode{Dinode: Dinode{Mode: ModeDir | 0o755, Nlink: 2, Size: int64(sb.Bsize), Blocks: sb.Frag}}
+	root.DB[0] = fsbn
+	p.inodes[RootIno] = root
+	p.log = append(p.log, fmt.Sprintf("root directory rebuilt empty at fsbn %d", fsbn))
 }
 
 // findFreeBlock returns the first group-relative block-aligned run of
 // Frag unclaimed data fragments, or 0. (Block alignment is relative to
 // the group base, matching the allocator and fsck.)
-func (rp *repairer) findFreeBlock() int32 {
-	sb := rp.sb
+func (p *pass) findFreeBlock() int32 {
+	sb := p.sb
 	for cgx := int32(0); cgx < sb.Ncg; cgx++ {
 		base := sb.CgBase(cgx)
-		for f := sb.MetaFrags(); f+sb.Frag <= sb.Fpg; f += sb.Frag {
-			free := true
-			for i := int32(0); i < sb.Frag; i++ {
-				if rp.owner[base+f+i] != 0 {
-					free = false
-					break
+	scan:
+		for f := base + sb.MetaFrags(); f+sb.Frag <= base+sb.Fpg; f += sb.Frag {
+			for _, v := range p.frags[f : f+sb.Frag] {
+				if v != fragFree {
+					continue scan
 				}
 			}
-			if free {
-				return base + f
-			}
+			return f
 		}
 	}
 	return 0
 }
 
-// dirBlockFsbn returns the fragment address of directory block lbn, or
-// 0 (repair keeps directories within direct + single-indirect range,
-// like Fsck). *ib caches the directory's single-indirect block: nil
-// until the first lbn that needs it, then reused for the rest of the
-// directory.
-func (rp *repairer) dirBlockFsbn(di *Dinode, lbn int64, ib *[]byte) int32 {
-	if lbn < NDADDR {
-		return di.DB[lbn]
-	}
-	if di.IB[0] != 0 && lbn-NDADDR < rp.sb.NindirPerBlock() {
-		if *ib == nil {
-			*ib = rp.readBlk(di.IB[0])
-		}
-		return getIndir(*ib, lbn-NDADDR)
-	}
-	return 0
-}
-
-// buildDirBlock packs entries into one directory block, the last record
-// absorbing the slack; with no entries the block is one free record.
-func (rp *repairer) buildDirBlock(ents []Dirent) []byte {
-	bsize := int(rp.sb.Bsize)
-	blk := make([]byte, bsize)
-	off := 0
-	for i, e := range ents {
+// writeDirBlock packs ents into directory block fsbn, the last record
+// absorbing the slack (with no entries the block is one free record),
+// and returns the entries that fit.
+func (p *pass) writeDirBlock(fsbn int32, ents []Dirent) []Dirent {
+	bsize := int(p.sb.Bsize)
+	blk := p.blk
+	clear(blk)
+	kept := ents[:0]
+	off, last := 0, -1
+	for _, e := range ents {
 		if off+direntSize(e.Name) > bsize {
-			rp.r.fixf("dir block overflow: dropped entry %q", e.Name)
+			p.log = append(p.log, fmt.Sprintf("dir block overflow: dropped entry %q", e.Name))
 			continue
 		}
-		if i == len(ents)-1 {
-			putDirentLast(blk[off:], e.Ino, e.Name, bsize-off)
-			off = bsize
-		} else {
-			off += putDirent(blk[off:], e.Ino, e.Name)
-		}
+		last = off
+		off += putDirent(blk[off:], e.Ino, e.Name)
+		kept = append(kept, e)
 	}
-	if off < bsize {
-		// Terminate with one free record spanning the remainder.
-		rem := bsize - off
-		blk[off+4] = byte(rem)
-		blk[off+5] = byte(rem >> 8)
+	if last < 0 {
+		last = 0
 	}
-	return blk
+	blk[last+4] = byte(bsize - last)
+	blk[last+5] = byte((bsize - last) >> 8)
+	p.write(fsbn, blk)
+	return kept
 }
 
-// walkDirectories checks the tree from the root: every entry must point
-// at a live inode, "." and ".." at self and parent, and each directory
-// may be referenced once. Broken entries are dropped (the block is
-// rewritten), link counts are recomputed, and everything the walk never
-// reaches is cleared.
-func (rp *repairer) walkDirectories() {
-	sb := rp.sb
-	if !rp.dinode[RootIno].IsDir() {
-		return // ensureRoot already logged the hopeless case
+// writeBack writes every inode block from table, overlaid with the
+// repaired inodes, then every cylinder group as recounted from the
+// final claims, then the superblock, marked clean, to every copy.
+func (p *pass) writeBack(table []Dinode) {
+	sb := p.sb
+	for ino, ip := range p.inodes { // simlint:ignore maporder -- each write goes to its own slot
+		table[ino] = ip.Dinode
 	}
-	links := make([]int16, len(rp.dinode))
-	visited := make([]bool, len(rp.dinode))
-	// claimed marks a directory already referenced by a kept entry; a
-	// second name for it (hard-linked directory) is dropped at sight,
-	// before the child is ever popped from the walk stack.
-	claimed := make([]bool, len(rp.dinode))
-	claimed[RootIno] = true
-
-	type frame struct{ ino, parent int32 }
-	stack := []frame{{RootIno, RootIno}}
-	for len(stack) > 0 {
-		fr := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if visited[fr.ino] {
-			continue
-		}
-		visited[fr.ino] = true
-		di := &rp.dinode[fr.ino]
-		nblocks := di.Size / int64(sb.Bsize)
-		var children []frame
-		var ib []byte
-		for lbn := int64(0); lbn < nblocks; lbn++ {
-			fsbn := rp.dirBlockFsbn(di, lbn, &ib)
-			if fsbn == 0 {
-				continue // fixPointers already truncated holes; defensive
-			}
-			raw := rp.readBlk(fsbn)
-			ents, err := parseDirents(raw)
-			rebuilt := false
-			if err != nil {
-				rp.r.fixf("ino %d: directory block %d unparseable (%v), rebuilt", fr.ino, lbn, err)
-				ents, rebuilt = nil, true
-			}
-			var keep []Dirent
-			sawDot, sawDotDot := false, false
-			for _, e := range ents {
-				switch {
-				case lbn == 0 && e.Name == ".":
-					if e.Ino != fr.ino {
-						rp.r.fixf("ino %d: \".\" pointed to %d, fixed", fr.ino, e.Ino)
-						e.Ino = fr.ino
-						rebuilt = true
-					}
-					sawDot = true
-				case lbn == 0 && e.Name == "..":
-					if e.Ino != fr.parent {
-						rp.r.fixf("ino %d: \"..\" pointed to %d, fixed to %d", fr.ino, e.Ino, fr.parent)
-						e.Ino = fr.parent
-						rebuilt = true
-					}
-					sawDotDot = true
-				default:
-					if e.Ino < RootIno || e.Ino >= int32(len(rp.dinode)) || !rp.dinode[e.Ino].Allocated() {
-						rp.r.fixf("ino %d: dropped entry %q -> dead ino %d", fr.ino, e.Name, e.Ino)
-						rebuilt = true
-						continue
-					}
-					if rp.dinode[e.Ino].IsDir() {
-						if claimed[e.Ino] {
-							rp.r.fixf("ino %d: dropped duplicate directory link %q -> %d", fr.ino, e.Name, e.Ino)
-							rebuilt = true
-							continue
-						}
-						claimed[e.Ino] = true
-						children = append(children, frame{e.Ino, fr.ino})
-					}
-				}
-				keep = append(keep, e)
-			}
-			if lbn == 0 && (!sawDot || !sawDotDot) {
-				rp.r.fixf("ino %d: restored missing \".\"/\"..\"", fr.ino)
-				var rest []Dirent
-				for _, e := range keep {
-					if e.Name != "." && e.Name != ".." {
-						rest = append(rest, e)
-					}
-				}
-				keep = append([]Dirent{{Ino: fr.ino, Name: "."}, {Ino: fr.parent, Name: ".."}}, rest...)
-				rebuilt = true
-				sawDot, sawDotDot = true, true
-			}
-			if rebuilt {
-				rp.writeBlk(fsbn, rp.buildDirBlock(keep))
-			}
-			for _, e := range keep {
-				switch e.Name {
-				case ".":
-					links[fr.ino]++
-				case "..":
-					links[fr.parent]++
-				default:
-					links[e.Ino]++
-				}
-			}
-		}
-		// Push children in reverse so the walk visits them in directory
-		// order — keeps the fix log deterministic.
-		for i := len(children) - 1; i >= 0; i-- {
-			stack = append(stack, children[i])
-		}
-	}
-
-	for inoInt := range rp.dinode {
-		ino := int32(inoInt)
-		di := &rp.dinode[ino]
-		if !di.Allocated() || ino < RootIno {
-			continue
-		}
-		if di.IsDir() && !visited[ino] {
-			rp.clear(ino, "unreachable directory")
-			continue
-		}
-		if !di.IsDir() && links[ino] == 0 {
-			rp.clear(ino, "unreferenced inode")
-			continue
-		}
-		if di.Nlink != links[ino] {
-			rp.r.fixf("ino %d: link count %d, counted %d", ino, di.Nlink, links[ino])
-			di.Nlink = links[ino]
-		}
-	}
-}
-
-// rebuildMaps re-derives everything below the inodes: a fresh claim
-// sweep fixes each survivor's di_blocks, then bitmaps, cylinder-group
-// headers and superblock totals are rebuilt from scratch and every
-// piece of metadata — inode blocks included — is written back.
-func (rp *repairer) rebuildMaps() {
-	sb := rp.sb
-	nindir := sb.NindirPerBlock()
-	rp.owner = rp.newOwnerMap()
-	for inoInt := range rp.dinode {
-		ino := int32(inoInt)
-		di := &rp.dinode[ino]
-		if !di.Allocated() || di.Mode&ModeFmt == ModeLink {
-			continue
-		}
-		var frags int32
-		take := func(lbn int64, fsbn int32) {
-			n := rp.dataFrags(di.Size, lbn)
-			if rp.claim(ino, fsbn, n) {
-				frags += n
-			}
-		}
-		for lbn := int64(0); lbn < NDADDR; lbn++ {
-			if di.DB[lbn] != 0 {
-				take(lbn, di.DB[lbn])
-			}
-		}
-		if di.IB[0] != 0 && rp.claim(ino, di.IB[0], sb.Frag) {
-			frags += sb.Frag
-			ib := rp.readBlk(di.IB[0])
-			for i := int64(0); i < nindir; i++ {
-				if a := getIndir(ib, i); a != 0 {
-					take(NDADDR+i, a)
-				}
-			}
-		}
-		if di.IB[1] != 0 && rp.claim(ino, di.IB[1], sb.Frag) {
-			frags += sb.Frag
-			ib1 := rp.readBlk(di.IB[1])
-			for i := int64(0); i < nindir; i++ {
-				l2 := getIndir(ib1, i)
-				if l2 == 0 || !rp.claim(ino, l2, sb.Frag) {
-					continue
-				}
-				frags += sb.Frag
-				ib2 := rp.readBlk(l2)
-				for j := int64(0); j < nindir; j++ {
-					if a := getIndir(ib2, j); a != 0 {
-						take(NDADDR+nindir+i*nindir+j, a)
-					}
-				}
-			}
-		}
-		if di.Blocks != frags {
-			rp.r.fixf("ino %d: di_blocks %d, holds %d fragments", ino, di.Blocks, frags)
-			di.Blocks = frags
-		}
-	}
-
-	// Write every inode block back.
 	ipb := int32(sb.InodesPerBlock())
 	for cgx := int32(0); cgx < sb.Ncg; cgx++ {
 		for blk := int32(0); blk < sb.InodeBlocks(); blk++ {
-			buf := make([]byte, sb.Bsize)
+			clear(p.blk)
 			for k := int32(0); k < ipb; k++ {
-				ino := cgx*sb.Ipg + blk*ipb + k
-				if ino < int32(len(rp.dinode)) {
-					rp.dinode[ino].MarshalInto(buf[k*DinodeSize:])
+				if ino := cgx*sb.Ipg + blk*ipb + k; ino < int32(len(table)) {
+					table[ino].MarshalInto(p.blk[k*DinodeSize:])
 				}
 			}
-			rp.writeBlk(sb.CgIblock(cgx)+blk*sb.Frag, buf)
+			p.write(sb.CgIblock(cgx)+blk*sb.Frag, p.blk)
 		}
 	}
-
-	// Rebuild every cylinder group from the claims and inode table.
-	sb.CsNdir, sb.CsNbfree, sb.CsNifree, sb.CsNffree = 0, 0, 0, 0
-	for cgx := int32(0); cgx < sb.Ncg; cgx++ {
-		cg := NewCG(sb, cgx)
-		cg.Ndblk = sb.Fpg - sb.MetaFrags()
-		base := sb.CgBase(cgx)
-		for f := int32(sb.MetaFrags()); f < sb.Fpg; f++ {
-			if rp.owner[base+f] == 0 {
-				setBit(cg.Blksfree, f)
-			}
-		}
-		for f := int32(0); f+sb.Frag <= sb.Fpg; f += sb.Frag {
-			if cg.BlockFree(f, sb.Frag) {
-				cg.Nbfree++
-			} else {
-				for i := int32(0); i < sb.Frag; i++ {
-					if cg.FragFree(f + i) {
-						cg.Nffree++
-					}
-				}
-			}
-		}
-		for i := int32(0); i < sb.Ipg; i++ {
-			ino := cgx*sb.Ipg + i
-			di := &rp.dinode[ino]
-			if di.Allocated() || ino < RootIno {
-				setBit(cg.Inosused, i)
-				if di.IsDir() {
-					cg.Ndir++
-				}
-			} else {
-				cg.Nifree++
-			}
-		}
-		sb.CsNdir += cg.Ndir
-		sb.CsNbfree += cg.Nbfree
-		sb.CsNifree += cg.Nifree
-		sb.CsNffree += cg.Nffree
-		rp.writeBlk(sb.CgHeader(cgx), cg.Marshal(sb))
+	cgs, t := p.recount()
+	for cgx, cg := range cgs {
+		cg.MarshalInto(sb, p.blk)
+		p.write(sb.CgHeader(int32(cgx)), p.blk)
 	}
-
-	// Fresh superblock everywhere, marked clean.
-	sb.Clean = 1
-	sb.Fmod = 0
+	sb.CsNbfree, sb.CsNffree, sb.CsNifree, sb.CsNdir = t.nbfree, t.nffree, t.nifree, t.ndir
+	sb.Clean, sb.Fmod = 1, 0
+	raw := sb.Marshal()
 	for cgx := int32(0); cgx < sb.Ncg; cgx++ {
-		rp.d.WriteImage(sb.FsbToDb(sb.CgSBlock(cgx)), sb.Marshal())
+		p.d.WriteImage(sb.FsbToDb(sb.CgSBlock(cgx)), raw)
 	}
 }
