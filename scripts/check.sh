@@ -24,7 +24,12 @@
 #                                          (FuzzUnmarshalCG,
 #                                          FuzzUnmarshalDinode,
 #                                          FuzzParseDirents); none may
-#                                          panic on any input
+#                                          panic on any input; and 5 s
+#                                          of FuzzRepair over mutated
+#                                          images: Repair never panics,
+#                                          leaves an Fsck-clean image,
+#                                          is idempotent, and fixes
+#                                          nothing on an Fsck-clean input
 #   5. go test -race ./internal/sim/...    the packages that touch host
 #      go test -race ./internal/runner/... goroutines and channels
 #      go test -race ./internal/telemetry/...  (and the bus, whose
@@ -96,7 +101,7 @@ echo "==> simlint self-run (internal/analysis/...)"
 echo "==> go test ./..."
 go test ./...
 
-for target in FuzzUnmarshalCG FuzzUnmarshalDinode FuzzParseDirents; do
+for target in FuzzUnmarshalCG FuzzUnmarshalDinode FuzzParseDirents FuzzRepair; do
     echo "==> fuzz smoke: $target"
     go test ./internal/ufs -run '^$' -fuzz "^$target\$" -fuzztime 5s -parallel 2
 done
