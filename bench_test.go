@@ -190,7 +190,7 @@ func BenchmarkIntroHalfCPU(b *testing.B) {
 func BenchmarkAllocatorExtentsBestCase(b *testing.B) {
 	var avg int64
 	for i := 0; i < b.N; i++ {
-		m, err := ufsclust.NewMachineForRun(ufsclust.RunA())
+		m, err := ufsclust.New(ufsclust.RunA())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -213,7 +213,7 @@ func BenchmarkAllocatorExtentsBestCase(b *testing.B) {
 func BenchmarkAllocatorExtentsWorstCase(b *testing.B) {
 	var avg int64
 	for i := 0; i < b.N; i++ {
-		m, err := ufsclust.NewMachineForRun(ufsclust.RunA())
+		m, err := ufsclust.New(ufsclust.RunA())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -504,7 +504,7 @@ func BenchmarkExtentVsCluster(b *testing.B) {
 	b.Run("clustered-ufs", func(b *testing.B) {
 		var rate float64
 		for i := 0; i < b.N; i++ {
-			m, err := ufsclust.NewMachineForRun(ufsclust.RunA())
+			m, err := ufsclust.New(ufsclust.RunA())
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -86,9 +86,3 @@ func (rc RunConfig) Options() Options {
 	}
 	return o
 }
-
-// NewMachineForRun assembles a machine for one of the paper's runs.
-// It is New(rc) with no options; kept for existing callers.
-func NewMachineForRun(rc RunConfig) (*Machine, error) {
-	return New(rc)
-}
